@@ -30,13 +30,6 @@ best_swap = _impl.best_swap
 scan_masks = _impl.scan_masks
 
 
-def edge_index(n: int, i: int, j: int) -> int:
-    """Bit position of pair {i, j} in the row-major mask order."""
-    if i > j:
-        i, j = j, i
-    return i * (2 * n - i - 1) // 2 + (j - i - 1)
-
-
 def mask_to_adj(n: int, mask: int) -> tuple[int, ...]:
     """Expand a row-major edge mask into adjacency rows."""
     adj = [0] * n

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import multiprocessing
 import sys
+from collections import Counter
 from dataclasses import dataclass, field
 
 from . import kernels
@@ -148,74 +149,76 @@ class CanonicalForm:
     n: int
     bits: int
 
+    def graph(self) -> Graph:
+        """The class representative whose upper triangle these bits spell."""
+        rows = [0] * self.n
+        pos = self.n * (self.n - 1) // 2
+        for j in range(1, self.n):
+            for i in range(j):
+                pos -= 1
+                if self.bits >> pos & 1:
+                    rows[i] |= 1 << j
+                    rows[j] |= 1 << i
+        return graph_from_adj(self.n, tuple(rows))
 
-def _canonical_columns(g: Graph) -> list[int]:
+
+def _canonical_bits(g: Graph) -> int:
+    """Minimum over all vertex orders of the column-major upper triangle.
+
+    Column k holds the adjacency of the k-th vertex placed to the vertices
+    placed before it, the first of them as the high bit.  Columns have fixed
+    widths, so bit strings compare as their column lists do.  Three cuts
+    keep the minimum exact:
+
+    - a node branches only on the unused vertices whose column is the
+      smallest there, because a larger column makes every completion larger;
+    - a node whose prefix already exceeds the best string's prefix is cut;
+    - twins, x and y with N(x) - y == N(y) - x, are swapped by an
+      automorphism that fixes every vertex placed so far, so a node branches
+      on only one unused member of each twin class.
+    """
     n = g.n
     adj = g.adj
-    best: list[int] | None = None
-    chosen: list[int] = []
-    cols: list[int] = []
-    used = 0
+    twins = [0] * n
+    for x in range(n):
+        for y in range(n):
+            if y != x and adj[x] & ~(1 << y) == adj[y] & ~(1 << x):
+                twins[x] |= 1 << y
+    width = n * (n - 1) // 2
+    best = -1
 
-    def rec() -> None:
-        nonlocal best, used
-        k = len(chosen)
+    def rec(k: int, used: int, prefix: int, cols: list[int]) -> None:
+        # cols[x]: adjacency of x to the k vertices placed so far
+        nonlocal best
         if k == n:
-            if best is None or cols < best:
-                best = cols[:]
+            if best < 0 or prefix < best:
+                best = prefix
             return
+        low = min(cols[x] for x in range(n) if not used >> x & 1)
+        prefix = (prefix << k) | low
+        if best >= 0 and prefix > best >> (width - k * (k + 1) // 2):
+            return
+        tried = 0
         for x in range(n):
-            if used >> x & 1:
+            if used >> x & 1 or cols[x] != low or twins[x] & tried:
                 continue
-            ax = adj[x]
-            col = 0
-            for c in chosen:
-                col = (col << 1) | (ax >> c & 1)
-            if k and best is not None:
-                cols.append(col)
-                worse = cols > best[:k]
-                cols.pop()
-                if worse:
-                    continue
-            chosen.append(x)
-            used |= 1 << x
-            if k:
-                cols.append(col)
-            rec()
-            if k:
-                cols.pop()
-            chosen.pop()
-            used &= ~(1 << x)
+            tried |= 1 << x
+            rec(k + 1, used | 1 << x, prefix,
+                [(c << 1) | (a >> x & 1) for c, a in zip(cols, adj)])
 
-    rec()
-    assert best is not None
+    rec(0, 0, 0, [0] * n)
     return best
 
 
 def canonical_form(g: Graph) -> CanonicalForm:
     if g.n > 8:
         raise GraphError("canonical form search is capped at 8 vertices")
-    cols = _canonical_columns(g)
-    bits = 0
-    for j in range(1, g.n):
-        bits = (bits << j) | cols[j - 1]
-    return CanonicalForm(g.n, bits)
+    return CanonicalForm(g.n, _canonical_bits(g))
 
 
 def canonical_graph(g: Graph) -> Graph:
     """The canonical representative (relabelled copy) of g's isomorphism class."""
-    cols = _canonical_columns(g)
-    edges = []
-    for j in range(1, g.n):
-        col = cols[j - 1]
-        for i in range(j):
-            if col >> (j - 1 - i) & 1:
-                edges.append((i, j))
-    rows = [0] * g.n
-    for a, b in edges:
-        rows[a] |= 1 << b
-        rows[b] |= 1 << a
-    return graph_from_adj(g.n, tuple(rows))
+    return canonical_form(g).graph()
 
 
 def _delta_nonpos_result(g: Graph):
@@ -361,12 +364,13 @@ def _evaluate(g: Graph, g6: str, connected: bool, bip: bool, eq: bool, wit,
 
 
 def _process_chunk(task):
-    """One worker unit; returns partial results in enumeration order."""
+    """One worker unit; returns partial results in enumeration order, with
+    the canonical form of each equilibrium when deduplicating."""
     kind, payload, claims, keep_records, dedup = task
     counts = {c: [0, 0, 0] for c in claims}
     violations: list = []
     records: list | None = [] if keep_records else None
-    eq_graphs: list = []
+    eq_forms: list = []
     graphs = equilibria = 0
 
     if kind == "masks":
@@ -375,10 +379,10 @@ def _process_chunk(task):
         items = []
         for mask, bip, eq, wit in scanned:
             g = graph_from_adj(n, kernels.mask_to_adj(n, mask))
-            items.append((g, encode_graph6(g), True, bip, eq, wit))
+            items.append((g, encode_graph6(g), True, bip, eq, wit, None))
     else:
         items = []
-        for line in payload:
+        for lineno, line in payload:
             g = parse_graph6(line)
             connected = kernels.is_connected(g.adj)
             bip = kernels.bipartite_side(g.adj) >= 0
@@ -387,14 +391,17 @@ def _process_chunk(task):
                 eq = wit is None
             else:
                 wit, eq = None, False
-            items.append((g, encode_graph6(g), connected, bip, eq, wit))
+            items.append((g, encode_graph6(g), connected, bip, eq, wit, lineno))
 
-    for g, g6, connected, bip, eq, wit in items:
+    for g, g6, connected, bip, eq, wit, lineno in items:
         graphs += 1
         if eq and connected:
             equilibria += 1
             if dedup:
-                eq_graphs.append(g)
+                try:
+                    eq_forms.append(canonical_form(g))
+                except GraphError as err:
+                    raise GraphError(f"graph6 line {lineno} ({g6}): {err}") from err
         record, statuses, viols = _evaluate(
             g, g6, connected, bip, eq, wit, claims, keep_records)
         for c, s in statuses.items():
@@ -403,7 +410,7 @@ def _process_chunk(task):
         if keep_records:
             records.append(record)
 
-    return graphs, equilibria, counts, violations, eq_graphs, records
+    return graphs, equilibria, counts, violations, eq_forms, records
 
 
 def _tasks(config: SurveyConfig):
@@ -417,7 +424,9 @@ def _tasks(config: SurveyConfig):
             yield ("masks", (n, lo, min(lo + _CHUNK_MASKS, total)),
                    claims, config.keep_records, config.dedup)
     elif config.graph6_lines is not None:
-        lines = [ln.strip() for ln in config.graph6_lines if ln.strip()]
+        # (1-based line number, stripped line) for every non-blank line
+        lines = [(k, ln.strip()) for k, ln in enumerate(config.graph6_lines, 1)
+                 if ln.strip()]
         for k in range(0, len(lines), _CHUNK_LINES):
             yield ("g6", tuple(lines[k:k + _CHUNK_LINES]),
                    claims, config.keep_records, config.dedup)
@@ -449,29 +458,23 @@ def run_survey(config: SurveyConfig) -> SurveyResult:
 
     summary = SurveySummary(claim_counts={c: [0, 0, 0] for c in config.claims})
     records: list | None = [] if config.keep_records else None
-    eq_graphs: list = []
-    for graphs, equilibria, counts, violations, eqs, recs in partials:
+    classes: Counter = Counter()
+    for graphs, equilibria, counts, violations, forms, recs in partials:
         summary.graphs += graphs
         summary.equilibria += equilibria
         for c in config.claims:
             for k in range(3):
                 summary.claim_counts[c][k] += counts[c][k]
         summary.violations.extend(violations)
-        eq_graphs.extend(eqs)
+        classes.update(forms)
         if config.keep_records:
             records.extend(recs)
 
     if config.dedup:
-        groups: dict = {}
-        for g in eq_graphs:
-            form = canonical_form(g)
-            if form not in groups:
-                groups[form] = [canonical_graph(g), 0]
-            groups[form][1] += 1
         summary.equilibrium_classes = [
-            {"graph6": encode_graph6(rep), "count": count}
-            for form, (rep, count) in sorted(
-                groups.items(), key=lambda kv: (kv[0].n, kv[0].bits))
+            {"graph6": encode_graph6(form.graph()), "count": count}
+            for form, count in sorted(
+                classes.items(), key=lambda kv: (kv[0].n, kv[0].bits))
         ]
 
     return SurveyResult(records, summary)

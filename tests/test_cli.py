@@ -1,7 +1,9 @@
 import json
 
+import pytest
+
 from swapeq.cli import run
-from swapeq.families import complete_bipartite, cycle, path, star
+from swapeq.families import complete, complete_bipartite, cycle, path, star
 from swapeq.graph import Graph
 from swapeq.io import encode_graph6
 
@@ -158,6 +160,20 @@ class TestSurvey:
         rep = json.loads(capsys.readouterr().out)
         assert rep["summary"]["equilibria"] == 5
         assert all(r["equilibrium"] for r in rep["records"])
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_dedup_over_8_vertices_names_line(self, tmp_path, capsys, workers):
+        # more lines than one chunk, so that two workers really share the stream
+        k3, big = encode_graph6(complete(3)), encode_graph6(star(8))
+        lines = [k3] * 2200
+        lines[1] = ""
+        lines[2059] = big
+        p = tmp_path / "stream.g6"
+        p.write_text("\n".join(lines) + "\n")
+        assert run(["survey", "--g6", str(p), "--dedup", "--workers", workers]) == 2
+        err = capsys.readouterr().err
+        assert f"line 2060 ({big})" in err
+        assert "capped at 8 vertices" in err
 
     def test_csv_output(self, tmp_path):
         out = tmp_path / "report.csv"

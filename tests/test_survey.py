@@ -1,12 +1,16 @@
 import itertools
+import random
 
+import networkx as nx
 import pytest
 
+from swapeq import survey
 from swapeq.equilibrium import is_equilibrium
 from swapeq.families import complete, complete_bipartite, cycle, path, star
-from swapeq.graph import GraphError, graph_from_adj
+from swapeq.graph import GraphError, build_graph, graph_from_adj
 from swapeq.io import encode_graph6, write_report
 from swapeq.survey import (
+    CanonicalForm,
     SurveyConfig,
     SurveyConfigError,
     canonical_form,
@@ -55,6 +59,18 @@ def _all_edge_subsets(n):
         yield [pairs[k] for k in range(len(pairs)) if bits >> k & 1]
 
 
+# Graphs made of few twin classes, where twin pruning cuts the most.
+_TWIN_HEAVY = {
+    "K8": complete(8),
+    "K44": complete_bipartite(4, 4),
+    "K17": star(7),
+    "K2222": build_graph(8, [(i, j) for i in range(8) for j in range(i + 1, 8)
+                             if i // 2 != j // 2]),
+    "doubled_star_7": build_graph(7, [(0, 1)] + [(c, v) for c in (0, 1) for v in range(2, 7)]),
+    "doubled_star_8": build_graph(8, [(0, 1)] + [(c, v) for c in (0, 1) for v in range(2, 8)]),
+}
+
+
 class TestCanonicalForm:
     def test_relabeling_invariance(self):
         g = cycle(4)
@@ -100,6 +116,64 @@ class TestCanonicalForm:
     def test_too_large(self):
         with pytest.raises(GraphError):
             canonical_form(graph_from_adj(9, tuple([0] * 9)))
+
+    def test_matches_brute_force_every_graph_n_le_5(self):
+        for n in range(1, 6):
+            pairs = list(itertools.combinations(range(n), 2))
+            for bits in range(1 << len(pairs)):
+                g = build_graph(n, [pairs[k] for k in range(len(pairs)) if bits >> k & 1])
+                assert canonical_form(g) == CanonicalForm(n, _brute_form_bits(g))
+
+    @pytest.mark.parametrize("name", sorted(_TWIN_HEAVY))
+    def test_twin_heavy_matches_brute_force(self, name):
+        g = _TWIN_HEAVY[name]
+        expected = CanonicalForm(g.n, _brute_form_bits(g))
+        assert canonical_form(g) == expected
+        assert canonical_form(_relabelled(g, random.Random(name))) == expected
+
+    def test_n8_sample_matches_networkx(self):
+        rng = random.Random(8)
+        pool = []
+        for _ in range(40):
+            p = rng.uniform(0.2, 0.8)
+            g = build_graph(8, [e for e in itertools.combinations(range(8), 2)
+                                if rng.random() < p])
+            pool += [g, _relabelled(g, rng)]
+        forms = [canonical_form(g) for g in pool]
+        nxg = [_to_nx(g) for g in pool]
+        for a, b in itertools.combinations(range(len(pool)), 2):
+            assert (forms[a] == forms[b]) == nx.is_isomorphic(nxg[a], nxg[b])
+        for g, form in zip(pool, forms):
+            rep = form.graph()
+            assert canonical_form(rep) == form
+            assert nx.is_isomorphic(_to_nx(rep), _to_nx(g))
+
+
+def _brute_form_bits(g):
+    """Minimum over all n! vertex orders of the column-major upper triangle."""
+    edges = {frozenset(e) for e in g.edges}
+    best = None
+    for order in itertools.permutations(range(g.n)):
+        bits = 0
+        for j in range(1, g.n):
+            for i in range(j):
+                bits = bits << 1 | (frozenset((order[i], order[j])) in edges)
+        if best is None or bits < best:
+            best = bits
+    return best
+
+
+def _relabelled(g, rng):
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return build_graph(g.n, [(perm[a], perm[b]) for a, b in g.edges])
+
+
+def _to_nx(g):
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from(g.edges)
+    return h
 
 
 def _isomorphic_brute(g1, g2):
@@ -248,3 +322,21 @@ class TestDeterminism:
         ra = write_report(survey_report(a, SurveyConfig(n=4, workers=1, dedup=True)), "json")
         rb = write_report(survey_report(b, SurveyConfig(n=4, workers=3, dedup=True)), "json")
         assert ra == rb
+
+    def test_dedup_stream_identical_through_pool(self):
+        rng = random.Random(2134)
+        bases = []
+        for _ in range(300):
+            n = rng.randint(4, 6)
+            p = rng.uniform(0.4, 0.95)
+            bases.append(build_graph(n, [e for e in itertools.combinations(range(n), 2)
+                                         if rng.random() < p]))
+        lines = tuple(encode_graph6(_relabelled(rng.choice(bases), rng))
+                      for _ in range(survey._CHUNK_LINES + 100))
+        reports = {}
+        for workers in (1, 2):
+            config = SurveyConfig(graph6_lines=lines, dedup=True, workers=workers)
+            assert len(list(survey._tasks(config))) >= 2
+            reports[workers] = write_report(
+                survey_report(run_survey(config), config), "json")
+        assert reports[1] == reports[2]
