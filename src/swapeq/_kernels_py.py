@@ -5,8 +5,8 @@ Graphs are adjacency rows: ``adj[v]`` is an int whose bit ``u`` is set iff
 ``n <= 64``.  Distances use ``-1`` as the unreachable sentinel; callers map
 that to the public INF value.
 
-Same signatures as the compiled backend in ``_fastkernels.pyx``; keep the
-two in lockstep (tests/test_kernels.py checks parity).
+``tests/test_kernels.py`` checks every kernel against the brute-force
+oracle in ``tests/oracle.py``.
 """
 
 from __future__ import annotations

@@ -1,33 +1,26 @@
-"""Kernel backend selection plus shared mask helpers.
+"""The bitset kernels plus shared mask helpers.
 
-The compiled extension is preferred when importable; set SWAPEQ_PURE=1 to
-force the pure-Python kernels (used by the benchmark and parity tests).
+The kernels are defined in ``_kernels_py`` and re-exported here.  Callers
+look them up in this module, so it is the kernel layer's boundary: the
+span tracer in ``perfbench`` wraps the names here and leaves the calls the
+kernels make among themselves unwrapped.
 """
 
 from __future__ import annotations
 
-import os
-
-if os.environ.get("SWAPEQ_PURE") == "1":
-    from . import _kernels_py as _impl
-else:
-    try:
-        from . import _fastkernels as _impl  # type: ignore[attr-defined]
-    except ImportError:
-        from . import _kernels_py as _impl
-
-BACKEND = _impl.BACKEND
-
-bfs_dists = _impl.bfs_dists
-sum_dist = _impl.sum_dist
-is_connected = _impl.is_connected
-eccentricity = _impl.eccentricity
-diameter = _impl.diameter
-bipartite_side = _impl.bipartite_side
-swapped_sum_dist = _impl.swapped_sum_dist
-first_improving_swap = _impl.first_improving_swap
-best_swap = _impl.best_swap
-scan_masks = _impl.scan_masks
+from ._kernels_py import (
+    BACKEND,
+    best_swap,
+    bfs_dists,
+    bipartite_side,
+    diameter,
+    eccentricity,
+    first_improving_swap,
+    is_connected,
+    scan_masks,
+    sum_dist,
+    swapped_sum_dist,
+)
 
 
 def mask_to_adj(n: int, mask: int) -> tuple[int, ...]:

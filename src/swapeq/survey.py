@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from . import kernels
 from .equilibrium import Deviation, EquilibriumVerdict
 from .graph import Graph, GraphError, graph_from_adj
-from .io import ReportDocument, encode_graph6, parse_graph6
+from .io import Graph6Error, ReportDocument, encode_graph6, parse_graph6
 from .structure import classify, decompose
 from .theory import (
     adjacent_cut_condition,
@@ -383,7 +383,10 @@ def _process_chunk(task):
     else:
         items = []
         for lineno, line in payload:
-            g = parse_graph6(line)
+            try:
+                g = parse_graph6(line)
+            except (Graph6Error, GraphError) as err:
+                raise GraphError(f"graph6 line {lineno} ({line}): {err}") from err
             connected = kernels.is_connected(g.adj)
             bip = kernels.bipartite_side(g.adj) >= 0
             if connected:

@@ -4,6 +4,7 @@ Each test prints a PASS line on success (visible with -s); the n = 7 sweep
 is shared between criteria 1 and 3 through a module-scoped fixture.
 """
 
+import os
 import random
 from fractions import Fraction
 
@@ -64,7 +65,8 @@ def random_bipartite_2ec(count, seed=20240817, max_n=10):
 
 @pytest.fixture(scope="module")
 def n7_summary():
-    return run_survey(SurveyConfig(n=7, keep_records=False)).summary
+    return run_survey(SurveyConfig(
+        n=7, keep_records=False, workers=os.cpu_count() or 1)).summary
 
 
 def test_criterion_1_theorem_sweep(n7_summary):

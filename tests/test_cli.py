@@ -175,6 +175,18 @@ class TestSurvey:
         assert f"line 2060 ({big})" in err
         assert "capped at 8 vertices" in err
 
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_malformed_line_named(self, tmp_path, capsys, workers):
+        # the bad line sits in the second 2,048-line chunk
+        lines = [encode_graph6(complete(3))] * 2200
+        lines[2099] = "B!!bad"
+        p = tmp_path / "stream.g6"
+        p.write_text("\n".join(lines) + "\n")
+        assert run(["survey", "--g6", str(p), "--workers", workers]) == 2
+        err = capsys.readouterr().err
+        assert "graph6 line 2100 (B!!bad): " in err
+        assert "unexpected bytes after the bit payload" in err
+
     def test_csv_output(self, tmp_path):
         out = tmp_path / "report.csv"
         assert run(["survey", "--n", "4", "--format", "csv",
