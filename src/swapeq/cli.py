@@ -8,7 +8,6 @@ success (check: graph is an equilibrium; survey: zero claim violations),
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
@@ -205,6 +204,8 @@ def _cmd_theory(args) -> int:
 
 
 def _cmd_dynamics(args) -> int:
+    if args.max_steps < 0:
+        raise CliError("--max-steps must be >= 0")
     g = _load_graph(args.input, args.format)
     if not kernels.is_connected(g.adj):
         raise CliError("dynamics requires a connected graph")
@@ -235,15 +236,12 @@ def _cmd_survey(args) -> int:
             lines = tuple(Path(args.g6).read_text().splitlines())
         except OSError as err:
             raise CliError(f"cannot read {args.g6}: {err}") from err
-    workers = args.workers
-    if workers is None:
-        workers = int(os.environ.get("SWAPEQ_WORKERS", "1"))
     config = SurveyConfig(
         n=args.n,
         graph6_lines=lines,
         claims=claims,
         dedup=args.dedup,
-        workers=workers,
+        workers=args.workers,
         progress=args.progress or args.n == 8,
     )
     try:
@@ -292,8 +290,8 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--g6", default=None, help="graph6 file, one graph per line")
     p.add_argument("--claims", default="all",
                    help="comma-separated claim list (default all)")
-    p.add_argument("--workers", type=int, default=None,
-                   help="worker processes (default $SWAPEQ_WORKERS or 1)")
+    p.add_argument("--workers", type=int, default=1,
+                   help="worker processes (default 1)")
     p.add_argument("--out", default=None)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--dedup", action="store_true",

@@ -86,9 +86,6 @@ class _Infinity:
 
 INF = _Infinity()
 
-Dist = "int | _Infinity"  # documentation alias; annotations use int | _Infinity
-
-
 @dataclass(frozen=True)
 class Graph:
     """Immutable simple undirected graph on vertices 0..n-1."""
@@ -223,10 +220,6 @@ def diameter(g: Graph):
     """Largest pairwise distance; INF when disconnected."""
     d = kernels.diameter(g.adj)
     return INF if d < 0 else d
-
-
-def is_connected(g: Graph) -> bool:
-    return kernels.is_connected(g.adj)
 
 
 def distance_layer(g: Graph, subset: Iterable[int], u: int, i: int) -> frozenset[int]:

@@ -191,12 +191,13 @@ class Classification:
     cactus: bool
 
 
+@lru_cache(maxsize=2048)
 def classify(g: Graph) -> Classification:
     """Recognize the graph classes the structural results quantify over."""
     _require_connected(g)
     n, m = g.n, g.m
     tree = m == n - 1
-    star = tree and kernels.diameter(g.adj) <= 2
+    star = tree and any(g.degree(v) == n - 1 for v in range(n))
 
     krs = None
     verdict = is_bipartite(g)

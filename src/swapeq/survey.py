@@ -9,10 +9,12 @@ byte-identical for any worker count.
 
 from __future__ import annotations
 
+import contextlib
 import multiprocessing
 import sys
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from . import kernels
 from .equilibrium import Deviation, EquilibriumVerdict
@@ -29,21 +31,97 @@ from .theory import (
 
 from . import __version__ as _tool_version
 
-CLAIM_NAMES = (
-    "tree_star",
-    "bipartite_krs",
-    "block_diam2",
-    "cactus_diam2",
-    "bridge_degree",
-    "single_pendant",
-    "adjacent_cut",
-    "cycle_bounds",
-    "delta_nonpos",
-)
-
 HOLDS = "holds"
 VIOLATED = "violated"
 NOT_APPLICABLE = "not_applicable"
+_SLOT = {HOLDS: 0, VIOLATED: 1, NOT_APPLICABLE: 2}  # index into a claim's counts
+
+
+class _Facts:
+    """What the claims read about one connected graph.  The classification
+    and the diameter are computed on first use, at most once per graph, and
+    the record reuses them."""
+
+    def __init__(self, g: Graph, eq: bool, bip: bool):
+        self.g = g
+        self.eq = eq
+        self.bip = bip
+        m = g.m
+        self.tree = m == g.n - 1
+        self.cyclic = m >= g.n
+
+    @cached_property
+    def cls(self):
+        return classify(self.g)
+
+    @cached_property
+    def diam(self) -> int:
+        return kernels.diameter(self.g.adj)
+
+
+def _bridge_degree(f: _Facts):
+    ok, bad = bridge_degree_condition(f.g)
+    return None if ok else f"bridge {bad} with both endpoints of degree >= 2"
+
+
+def _cycle_bounds(f: _Facts):
+    rep = cactus_cycle_report(f.g)
+    problems = [text for ok, text in (
+        (rep.max_cycle_len_ok, "cycle longer than 5"),
+        (rep.world_balance_ok, "unbalanced worlds on a long cycle"),
+        (rep.long_cycle_count_ok, "more than one long cycle"),
+    ) if not ok]
+    return "; ".join(problems) or None
+
+
+def _delta_nonpos(f: _Facts):
+    """Nonpositive per-observer totals and the exact accounting identity on
+    every cyclic component of a bipartite graph."""
+    g = f.g
+    for comp in decompose(g).tecc:
+        if len(comp) < 3:
+            continue
+        agg = aggregate_swaps(g, comp)
+        if agg.total != agg.observer_total:
+            return (f"accounting identity broken on component {sorted(comp)}: "
+                    f"{agg.total} != {agg.observer_total}")
+        for w in range(g.n):
+            if agg.per_observer[w] > 0:
+                return (f"observer {w} has positive swap total "
+                        f"{agg.per_observer[w]} on component {sorted(comp)}")
+    return None
+
+
+# claim -> (applies(facts), detail(facts)): detail is None when the claim
+# holds, else the violation's description.  Order is the report order.
+_CLAIMS = {
+    "tree_star": (
+        lambda f: f.eq and f.tree,
+        lambda f: None if f.cls.star else f"tree equilibrium with diameter {f.diam}"),
+    "bipartite_krs": (
+        lambda f: f.eq and f.bip and f.g.n >= 2,
+        lambda f: None if f.cls.complete_bipartite
+        else "bipartite equilibrium that is not complete bipartite"),
+    "block_diam2": (
+        lambda f: f.eq and f.cls.block_graph,
+        lambda f: None if f.diam <= 2 else f"block-graph equilibrium with diameter {f.diam}"),
+    "cactus_diam2": (
+        lambda f: f.eq and f.cls.cactus,
+        lambda f: None if f.diam <= 2 else f"cactus equilibrium with diameter {f.diam}"),
+    "bridge_degree": (lambda f: f.eq, _bridge_degree),
+    "single_pendant": (
+        lambda f: f.eq and f.cyclic,
+        lambda f: None if single_pendant_condition(f.g)
+        else "component with two nontrivial pendant worlds"),
+    "adjacent_cut": (
+        lambda f: f.eq,
+        lambda f: None if adjacent_cut_condition(f.g)
+        else "adjacent cut vertices with two nontrivial worlds"),
+    "cycle_bounds": (lambda f: f.eq and f.cls.cactus, _cycle_bounds),
+    "delta_nonpos": (lambda f: f.bip and f.cyclic, _delta_nonpos),
+}
+
+CLAIM_NAMES = tuple(_CLAIMS)
 
 _CHUNK_MASKS = 1 << 14
 _CHUNK_LINES = 2048
@@ -221,151 +299,56 @@ def canonical_graph(g: Graph) -> Graph:
     return canonical_form(g).graph()
 
 
-def _delta_nonpos_result(g: Graph):
-    """Check every cyclic component of a bipartite graph for nonpositive
-    per-observer totals and the exact accounting identity."""
-    for comp in decompose(g).tecc:
-        if len(comp) < 3:
-            continue
-        agg = aggregate_swaps(g, comp)
-        if agg.total != agg.observer_total:
-            return VIOLATED, (
-                f"accounting identity broken on component {sorted(comp)}: "
-                f"{agg.total} != {agg.observer_total}"
-            )
-        for w in range(g.n):
-            if agg.per_observer[w] > 0:
-                return VIOLATED, (
-                    f"observer {w} has positive swap total "
-                    f"{agg.per_observer[w]} on component {sorted(comp)}"
-                )
-    return HOLDS, None
-
-
-def _claim_results(g: Graph, eq: bool, bip: bool, claims) -> dict:
-    """Evaluate the selected claims; values are status or (status, detail)."""
-    n, m = g.n, g.m
-    tree = m == n - 1
-    cyclic = m >= n
+def _check(f: _Facts, claims, violations: list) -> dict:
+    """claim -> status for one connected graph; appends (claim, detail) to
+    violations for each claim that fails."""
     out = {}
-    cls = None
-    diam = None
-
-    def full():
-        nonlocal cls, diam
-        if cls is None:
-            cls = classify(g)
-            diam = kernels.diameter(g.adj)
-
     for claim in claims:
-        status: object = NOT_APPLICABLE
-        if claim == "tree_star":
-            if eq and tree:
-                full()
-                status = HOLDS if cls.star else (
-                    VIOLATED, f"tree equilibrium with diameter {diam}")
-        elif claim == "bipartite_krs":
-            if eq and bip and n >= 2:
-                full()
-                status = HOLDS if cls.complete_bipartite else (
-                    VIOLATED, "bipartite equilibrium that is not complete bipartite")
-        elif claim == "block_diam2":
-            if eq:
-                full()
-                if cls.block_graph:
-                    status = HOLDS if diam <= 2 else (
-                        VIOLATED, f"block-graph equilibrium with diameter {diam}")
-        elif claim == "cactus_diam2":
-            if eq:
-                full()
-                if cls.cactus:
-                    status = HOLDS if diam <= 2 else (
-                        VIOLATED, f"cactus equilibrium with diameter {diam}")
-        elif claim == "bridge_degree":
-            if eq:
-                ok, bad = bridge_degree_condition(g)
-                status = HOLDS if ok else (
-                    VIOLATED, f"bridge {bad} with both endpoints of degree >= 2")
-        elif claim == "single_pendant":
-            if eq and cyclic:
-                status = HOLDS if single_pendant_condition(g) else (
-                    VIOLATED, "component with two nontrivial pendant worlds")
-        elif claim == "adjacent_cut":
-            if eq:
-                status = HOLDS if adjacent_cut_condition(g) else (
-                    VIOLATED, "adjacent cut vertices with two nontrivial worlds")
-        elif claim == "cycle_bounds":
-            if eq:
-                full()
-                if cls.cactus:
-                    rep = cactus_cycle_report(g)
-                    problems = []
-                    if not rep.max_cycle_len_ok:
-                        problems.append("cycle longer than 5")
-                    if not rep.world_balance_ok:
-                        problems.append("unbalanced worlds on a long cycle")
-                    if not rep.long_cycle_count_ok:
-                        problems.append("more than one long cycle")
-                    status = HOLDS if not problems else (VIOLATED, "; ".join(problems))
-        elif claim == "delta_nonpos":
-            if bip and cyclic:
-                res, detail = _delta_nonpos_result(g)
-                status = res if detail is None else (res, detail)
+        try:
+            applies, detail = _CLAIMS[claim]
+        except KeyError:
+            raise SurveyConfigError(f"unknown claim {claim!r}") from None
+        if not applies(f):
+            out[claim] = NOT_APPLICABLE
+            continue
+        why = detail(f)
+        if why is None:
+            out[claim] = HOLDS
         else:
-            raise SurveyConfigError(f"unknown claim {claim!r}")
-        out[claim] = status
+            out[claim] = VIOLATED
+            violations.append((claim, why))
     return out
 
 
 def verify_claims(g: Graph, verdict: EquilibriumVerdict, claims=CLAIM_NAMES) -> dict:
     """Public per-graph claim evaluation; returns claim -> status string."""
     bip = kernels.bipartite_side(g.adj) >= 0
-    raw = _claim_results(g, verdict.is_equilibrium, bip, claims)
-    return {c: (s[0] if isinstance(s, tuple) else s) for c, s in raw.items()}
+    return _check(_Facts(g, verdict.is_equilibrium, bip), claims, [])
 
 
-def _evaluate(g: Graph, g6: str, connected: bool, bip: bool, eq: bool, wit,
-              claims, keep_records: bool):
-    """Claim + record computation for one graph (already scanned)."""
-    if connected:
-        raw = _claim_results(g, eq, bip, claims)
-    else:
-        raw = {c: NOT_APPLICABLE for c in claims}
-    statuses = {c: (s[0] if isinstance(s, tuple) else s) for c, s in raw.items()}
-    violations = [
-        {"graph6": g6, "claim": c, "detail": s[1]}
-        for c, s in raw.items()
-        if isinstance(s, tuple) and s[0] == VIOLATED
-    ]
-    record = None
-    if keep_records:
-        if connected:
-            cls = classify(g)
-            diam = kernels.diameter(g.adj)
-            tree, block, cactus = cls.tree, cls.block_graph, cls.cactus
-        else:
-            diam = "INF"
-            tree = block = cactus = False
-        record = SurveyRecord(
-            graph6=g6,
-            n=g.n,
-            m=g.m,
-            connected=connected,
-            bipartite=bip,
-            tree=tree,
-            block=block,
-            cactus=cactus,
-            equilibrium=eq,
-            diameter=diam,
-            witness_deviation=None if wit is None else Deviation(wit[0], wit[1], wit[2]),
-            claims=statuses,
-        )
-    return record, statuses, violations
+def _scanned(kind, payload):
+    """(graph, connected, bipartite, equilibrium, witness, line number) for
+    every graph of one task, in enumeration or stream order."""
+    if kind == "masks":
+        n, lo, hi = payload
+        for mask, bip, eq, wit in kernels.scan_masks(n, lo, hi):
+            yield graph_from_adj(n, kernels.mask_to_adj(n, mask)), True, bip, eq, wit, None
+        return
+    for lineno, line in payload:
+        try:
+            g = parse_graph6(line)
+        except (Graph6Error, GraphError) as err:
+            raise GraphError(f"graph6 line {lineno} ({line}): {err}") from err
+        connected = kernels.is_connected(g.adj)
+        bip = kernels.bipartite_side(g.adj) >= 0
+        wit = kernels.first_improving_swap(g.adj) if connected else None
+        yield g, connected, bip, connected and wit is None, wit, lineno
 
 
 def _process_chunk(task):
     """One worker unit; returns partial results in enumeration order, with
-    the canonical form of each equilibrium when deduplicating."""
+    the canonical form of each equilibrium when deduplicating.  graph6 is
+    encoded only for a kept record or a reported violation."""
     kind, payload, claims, keep_records, dedup = task
     counts = {c: [0, 0, 0] for c in claims}
     violations: list = []
@@ -373,45 +356,47 @@ def _process_chunk(task):
     eq_forms: list = []
     graphs = equilibria = 0
 
-    if kind == "masks":
-        n, lo, hi = payload
-        scanned = kernels.scan_masks(n, lo, hi)
-        items = []
-        for mask, bip, eq, wit in scanned:
-            g = graph_from_adj(n, kernels.mask_to_adj(n, mask))
-            items.append((g, encode_graph6(g), True, bip, eq, wit, None))
-    else:
-        items = []
-        for lineno, line in payload:
-            try:
-                g = parse_graph6(line)
-            except (Graph6Error, GraphError) as err:
-                raise GraphError(f"graph6 line {lineno} ({line}): {err}") from err
-            connected = kernels.is_connected(g.adj)
-            bip = kernels.bipartite_side(g.adj) >= 0
-            if connected:
-                wit = kernels.first_improving_swap(g.adj)
-                eq = wit is None
-            else:
-                wit, eq = None, False
-            items.append((g, encode_graph6(g), connected, bip, eq, wit, lineno))
-
-    for g, g6, connected, bip, eq, wit, lineno in items:
+    for g, connected, bip, eq, wit, lineno in _scanned(kind, payload):
         graphs += 1
-        if eq and connected:
+        if eq:
             equilibria += 1
             if dedup:
                 try:
                     eq_forms.append(canonical_form(g))
                 except GraphError as err:
-                    raise GraphError(f"graph6 line {lineno} ({g6}): {err}") from err
-        record, statuses, viols = _evaluate(
-            g, g6, connected, bip, eq, wit, claims, keep_records)
+                    raise GraphError(
+                        f"graph6 line {lineno} ({encode_graph6(g)}): {err}") from err
+        found: list = []
+        if connected:
+            facts = _Facts(g, eq, bip)
+            statuses = _check(facts, claims, found)
+        else:
+            statuses = dict.fromkeys(claims, NOT_APPLICABLE)
         for c, s in statuses.items():
-            counts[c][(HOLDS, VIOLATED, NOT_APPLICABLE).index(s)] += 1
-        violations.extend(viols)
+            counts[c][_SLOT[s]] += 1
+        g6 = encode_graph6(g) if keep_records or found else None
+        violations.extend({"graph6": g6, "claim": c, "detail": d} for c, d in found)
         if keep_records:
-            records.append(record)
+            if connected:
+                cls = facts.cls
+                tree, block, cactus, diam = cls.tree, cls.block_graph, cls.cactus, facts.diam
+            else:
+                tree = block = cactus = False
+                diam = "INF"
+            records.append(SurveyRecord(
+                graph6=g6,
+                n=g.n,
+                m=g.m,
+                connected=connected,
+                bipartite=bip,
+                tree=tree,
+                block=block,
+                cactus=cactus,
+                equilibrium=eq,
+                diameter=diam,
+                witness_deviation=None if wit is None else Deviation(wit[0], wit[1], wit[2]),
+                claims=statuses,
+            ))
 
     return graphs, equilibria, counts, violations, eq_forms, records
 
@@ -440,38 +425,31 @@ def _tasks(config: SurveyConfig):
 def run_survey(config: SurveyConfig) -> SurveyResult:
     """Run the sweep; results are independent of the worker count."""
     for c in config.claims:
-        if c not in CLAIM_NAMES:
+        if c not in _CLAIMS:
             raise SurveyConfigError(f"unknown claim {c!r}")
+    if config.workers < 1:
+        raise SurveyConfigError(f"workers must be >= 1, got {config.workers}")
     tasks = list(_tasks(config))
-    total_tasks = len(tasks)
-
-    if config.workers > 1 and total_tasks > 1:
-        with multiprocessing.Pool(config.workers) as pool:
-            partials = []
-            for i, part in enumerate(pool.imap(_process_chunk, tasks)):
-                partials.append(part)
-                if config.progress:
-                    print(f"survey: chunk {i + 1}/{total_tasks}", file=sys.stderr)
-    else:
-        partials = []
-        for i, task in enumerate(tasks):
-            partials.append(_process_chunk(task))
-            if config.progress:
-                print(f"survey: chunk {i + 1}/{total_tasks}", file=sys.stderr)
+    parallel = config.workers > 1 and len(tasks) > 1
 
     summary = SurveySummary(claim_counts={c: [0, 0, 0] for c in config.claims})
     records: list | None = [] if config.keep_records else None
     classes: Counter = Counter()
-    for graphs, equilibria, counts, violations, forms, recs in partials:
-        summary.graphs += graphs
-        summary.equilibria += equilibria
-        for c in config.claims:
-            for k in range(3):
-                summary.claim_counts[c][k] += counts[c][k]
-        summary.violations.extend(violations)
-        classes.update(forms)
-        if config.keep_records:
-            records.extend(recs)
+    with multiprocessing.Pool(config.workers) if parallel else contextlib.nullcontext() as pool:
+        parts = pool.imap(_process_chunk, tasks) if parallel else map(_process_chunk, tasks)
+        for i, (graphs, equilibria, counts, violations, forms, recs) in enumerate(parts, 1):
+            summary.graphs += graphs
+            summary.equilibria += equilibria
+            for c, part in counts.items():
+                total = summary.claim_counts[c]
+                for k in range(3):
+                    total[k] += part[k]
+            summary.violations.extend(violations)
+            classes.update(forms)
+            if config.keep_records:
+                records.extend(recs)
+            if config.progress:
+                print(f"survey: chunk {i}/{len(tasks)}", file=sys.stderr)
 
     if config.dedup:
         summary.equilibrium_classes = [

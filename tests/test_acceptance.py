@@ -1,13 +1,17 @@
 """Acceptance suite: one test per release criterion, exact tolerances.
 
-Each test prints a PASS line on success (visible with -s); the n = 7 sweep
-is shared between criteria 1 and 3 through a module-scoped fixture.
+Each test prints a PASS line on success (visible with -s); the n = 3..6 and
+n = 7 sweeps are shared between criteria 1 and 3 and the atlas recount
+through module-scoped fixtures.
 """
 
+import math
 import os
 import random
+from collections import Counter
 from fractions import Fraction
 
+import networkx as nx
 import pytest
 
 from swapeq import kernels
@@ -17,6 +21,7 @@ from swapeq.graph import build_graph
 from swapeq.io import encode_graph6, parse_graph6, write_report
 from swapeq.structure import decompose
 from swapeq.survey import (
+    CLAIM_NAMES,
     SurveyConfig,
     enumerate_labeled_connected,
     run_survey,
@@ -69,10 +74,15 @@ def n7_summary():
         n=7, keep_records=False, workers=os.cpu_count() or 1)).summary
 
 
-def test_criterion_1_theorem_sweep(n7_summary):
+@pytest.fixture(scope="module")
+def small_summaries():
+    return {n: run_survey(SurveyConfig(n=n, keep_records=False)).summary
+            for n in range(3, 7)}
+
+
+def test_criterion_1_theorem_sweep(small_summaries, n7_summary):
     """Zero violations of every claim over all labeled connected graphs, n 3..7."""
-    for n in range(3, 7):
-        summary = run_survey(SurveyConfig(n=n, keep_records=False)).summary
+    for n, summary in small_summaries.items():
         assert summary.violations == [], f"violations at n={n}: {summary.violations}"
     assert n7_summary.violations == []
     assert n7_summary.graphs == 1_866_256  # known count of connected labeled graphs
@@ -80,6 +90,60 @@ def test_criterion_1_theorem_sweep(n7_summary):
     assert n7_summary.claim_counts["bipartite_krs"][0] == 7 + 21 + 35
     assert n7_summary.claim_counts["tree_star"][0] == 7  # the 7 labeled stars
     print("ACCEPTANCE 1 (theorem sweep n=3..7): PASS")
+
+
+def _atlas_counts(n):
+    """Summary numbers of the labeled survey at n, recounted from networkx's
+    atlas of unlabeled graphs: each connected class weighs n!/|Aut|, its
+    verdict comes from the oracle, and its classes from networkx.  A claim
+    that applies is counted as holding."""
+    graphs = equilibria = 0
+    counts = {c: Counter() for c in CLAIM_NAMES}
+    for G in nx.graph_atlas_g():
+        if G.number_of_nodes() != n or not nx.is_connected(G):
+            continue
+        aut = sum(1 for _ in nx.algorithms.isomorphism.GraphMatcher(G, G).isomorphisms_iter())
+        weight = math.factorial(n) // aut
+        eq, _ = oracle.equilibrium(n, list(G.edges()))
+        assert eq == (nx.diameter(G) <= 2), list(G.edges())
+        blocks = [(len(es), len({v for e in es for v in e}))
+                  for es in nx.biconnected_component_edges(G)]
+        block = all(m == k * (k - 1) // 2 for m, k in blocks)
+        cactus = all(m == 1 or m == k for m, k in blocks)
+        bip = nx.is_bipartite(G)
+        tree = nx.is_tree(G)
+        cyclic = not tree
+        applies = {
+            "tree_star": eq and tree,
+            "bipartite_krs": eq and bip,
+            "block_diam2": eq and block,
+            "cactus_diam2": eq and cactus,
+            "bridge_degree": eq,
+            "single_pendant": eq and cyclic,
+            "adjacent_cut": eq,
+            "cycle_bounds": eq and cactus,
+            "delta_nonpos": bip and cyclic,
+        }
+        graphs += weight
+        equilibria += weight * eq
+        for c in CLAIM_NAMES:
+            counts[c]["holds" if applies[c] else "not_applicable"] += weight
+    return graphs, equilibria, {
+        c: [counts[c]["holds"], counts[c]["violated"], counts[c]["not_applicable"]]
+        for c in CLAIM_NAMES}
+
+
+def test_atlas_recount(small_summaries, n7_summary):
+    """Every summary number of the labeled survey, n 3..7, equals an
+    independent recount over the graph atlas."""
+    summaries = {**small_summaries, 7: n7_summary}
+    for n, summary in summaries.items():
+        graphs, equilibria, counts = _atlas_counts(n)
+        assert summary.graphs == graphs, n
+        assert summary.equilibria == equilibria, n
+        assert summary.claim_counts == counts, n
+    assert summaries[7].equilibria == 676_456
+    print("ACCEPTANCE atlas recount (n=3..7, 29 numbers each): PASS")
 
 
 def test_criterion_2_closed_form_matches_simulation():

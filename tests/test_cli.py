@@ -120,6 +120,13 @@ class TestDynamics:
                     "--max-steps", "0"]) == 0
         assert "outcome: step_limit" in capsys.readouterr().out
 
+    def test_negative_max_steps(self, tmp_path, capsys):
+        assert run(["dynamics", write_edges(tmp_path, path(4)),
+                    "--max-steps", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: --max-steps must be >= 0\n"
+        assert captured.out == ""
+
 
 class TestSurvey:
     def test_n5_all_claims(self, tmp_path):
@@ -136,14 +143,16 @@ class TestSurvey:
     def test_n8_needs_confirmation(self):
         assert run(["survey", "--n", "8"]) == 2
 
-    def test_workers_env_default(self, tmp_path, monkeypatch):
-        out = tmp_path / "r.json"
-        monkeypatch.setenv("SWAPEQ_WORKERS", "2")
-        assert run(["survey", "--n", "4", "--out", str(out)]) == 0
-        baseline = out.read_bytes()
-        monkeypatch.setenv("SWAPEQ_WORKERS", "1")
-        assert run(["survey", "--n", "4", "--out", str(out)]) == 0
-        assert out.read_bytes() == baseline
+    def test_workers_flag(self, tmp_path, capsys):
+        reports = {}
+        for workers in ("1", "2"):
+            out = tmp_path / f"r{workers}.json"
+            assert run(["survey", "--n", "4", "--workers", workers, "--out", str(out)]) == 0
+            reports[workers] = out.read_bytes()
+        assert reports["1"] == reports["2"]
+        for workers in ("0", "-2"):
+            assert run(["survey", "--n", "4", "--workers", workers]) == 2
+            assert "workers must be >= 1" in capsys.readouterr().err
 
     def test_needs_source(self):
         assert run(["survey"]) == 2

@@ -233,6 +233,35 @@ class TestRunSurvey:
             run_survey(SurveyConfig())
         with pytest.raises(SurveyConfigError):
             run_survey(SurveyConfig(n=4, claims=("nope",)))
+        for workers in (0, -2):
+            with pytest.raises(SurveyConfigError):
+                run_survey(SurveyConfig(n=4, workers=workers))
+
+    @pytest.mark.parametrize("keep_records", [False, True])
+    def test_per_graph_work_done_once(self, monkeypatch, keep_records):
+        from swapeq import kernels
+
+        calls = {"classify": [], "diameter": [], "encode": 0}
+
+        def counted(name, fn):
+            def wrapper(arg):
+                calls[name].append(arg if isinstance(arg, tuple) else arg.adj)
+                return fn(arg)
+            return wrapper
+
+        def encode(g):
+            calls["encode"] += 1
+            return encode_graph6(g)
+
+        monkeypatch.setattr(survey, "classify", counted("classify", survey.classify))
+        monkeypatch.setattr(kernels, "diameter", counted("diameter", kernels.diameter))
+        monkeypatch.setattr(survey, "encode_graph6", encode)
+        res = run_survey(SurveyConfig(n=5, keep_records=keep_records))
+        assert res.summary.graphs == 728
+        for name in ("classify", "diameter"):
+            assert calls[name], name
+            assert len(set(calls[name])) == len(calls[name]), name
+        assert calls["encode"] == (728 if keep_records else 0)
 
     def test_graph6_stream(self):
         lines = tuple(
@@ -340,3 +369,65 @@ class TestDeterminism:
             reports[workers] = write_report(
                 survey_report(run_survey(config), config), "json")
         assert reports[1] == reports[2]
+
+
+# Claim violations that the parent code reported when every connected graph
+# was declared an equilibrium; pins the violated branch of every claim but
+# delta_nonpos, with its detail text.
+_FORCED_VIOLATIONS = [
+    ("Ch", "tree_star", "tree equilibrium with diameter 3"),
+    ("Ch", "bipartite_krs", "bipartite equilibrium that is not complete bipartite"),
+    ("Ch", "block_diam2", "block-graph equilibrium with diameter 3"),
+    ("Ch", "cactus_diam2", "cactus equilibrium with diameter 3"),
+    ("Ch", "bridge_degree", "bridge (1, 2) with both endpoints of degree >= 2"),
+    ("Ch", "adjacent_cut", "adjacent cut vertices with two nontrivial worlds"),
+    ("GhEK?_", "bipartite_krs", "bipartite equilibrium that is not complete bipartite"),
+    ("GhEK?_", "cactus_diam2", "cactus equilibrium with diameter 5"),
+    ("GhEK?_", "single_pendant", "component with two nontrivial pendant worlds"),
+    ("GhEK?_", "cycle_bounds", "cycle longer than 5"),
+    ("EhEG", "bipartite_krs", "bipartite equilibrium that is not complete bipartite"),
+    ("EhEG", "cactus_diam2", "cactus equilibrium with diameter 3"),
+    ("EhEG", "cycle_bounds", "cycle longer than 5"),
+    ("Fl_KG", "bipartite_krs", "bipartite equilibrium that is not complete bipartite"),
+    ("Fl_KG", "cactus_diam2", "cactus equilibrium with diameter 4"),
+    ("Fl_KG", "cycle_bounds", "unbalanced worlds on a long cycle; more than one long cycle"),
+]
+
+_FORCED_COUNTS = {
+    "tree_star": [0, 1, 3],
+    "bipartite_krs": [0, 4, 0],
+    "block_diam2": [0, 1, 3],
+    "cactus_diam2": [0, 4, 0],
+    "bridge_degree": [3, 1, 0],
+    "single_pendant": [2, 1, 1],
+    "adjacent_cut": [3, 1, 0],
+    "cycle_bounds": [1, 3, 0],
+    "delta_nonpos": [3, 0, 1],
+}
+
+
+class TestViolationReporting:
+    @pytest.mark.parametrize("keep_records", [False, True])
+    def test_forced_equilibria(self, monkeypatch, keep_records):
+        from swapeq import kernels
+
+        monkeypatch.setattr(kernels, "first_improving_swap", lambda adj: None)
+        graphs = [
+            path(4),
+            build_graph(8, [(i, (i + 1) % 6) for i in range(6)] + [(0, 6), (3, 7)]),
+            cycle(6),
+            build_graph(7, [(0, 1), (1, 2), (2, 3), (3, 0),
+                            (0, 4), (4, 5), (5, 6), (6, 0)]),
+        ]
+        lines = tuple(encode_graph6(g) for g in graphs)
+        assert lines == ("Ch", "GhEK?_", "EhEG", "Fl_KG")
+        res = run_survey(SurveyConfig(graph6_lines=lines, keep_records=keep_records))
+        s = res.summary
+        assert (s.graphs, s.equilibria) == (4, 4)
+        assert [(v["graph6"], v["claim"], v["detail"]) for v in s.violations] \
+            == _FORCED_VIOLATIONS
+        assert s.claim_counts == _FORCED_COUNTS
+        if keep_records:
+            assert [r.as_dict()["claim_violations"] for r in res.records] == [
+                ";".join(c for g6, c, _ in _FORCED_VIOLATIONS if g6 == line)
+                for line in lines]
