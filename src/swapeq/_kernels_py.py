@@ -162,18 +162,34 @@ def swapped_sum_dist(adj, u, v, vp):
     return sum_dist(adj2, u)
 
 
+def _reaches_all_in_two(adj, u, full):
+    """True iff every vertex lies within distance 2 of u (ecc(u) <= 2)."""
+    ball = (1 << u) | adj[u]
+    f = adj[u]
+    while f:
+        b = f & -f
+        ball |= adj[b.bit_length() - 1]
+        f ^= b
+    return ball == full
+
+
 def first_improving_swap(adj):
     """First (u, v, vp, delta) in lexicographic (u, v, vp) order with delta < 0.
 
     Scans swaps drop-{u,v}/add-{u,vp} over neighbours v and non-adjacent
     targets vp. Assumes a connected graph; returns None at equilibrium.
+
+    Agents of eccentricity <= 2 are skipped: such a swap brings vp from
+    distance 2 to 1, sends v from 1 to at least 2 and brings no other
+    vertex closer, so its delta is >= 0 (Alon, Demaine, Hajiaghayi and
+    Leighton's swap model).  The first witness is unchanged.
     """
     n = len(adj)
     full = (1 << n) - 1
     for u in range(n):
         nbrs = adj[u]
         others = full & ~nbrs & ~(1 << u)
-        if not nbrs or not others:
+        if not nbrs or not others or _reaches_all_in_two(adj, u, full):
             continue
         d0 = sum_dist(adj, u)
         f = nbrs
@@ -193,14 +209,18 @@ def first_improving_swap(adj):
 
 
 def best_swap(adj):
-    """Swap minimising (delta, u, v, vp); None unless some delta < 0."""
+    """Swap minimising (delta, u, v, vp); None unless some delta < 0.
+
+    Agents of eccentricity <= 2 have no swap with delta < 0 (see
+    first_improving_swap) and are skipped, so the minimum is unchanged.
+    """
     n = len(adj)
     full = (1 << n) - 1
     best = None
     for u in range(n):
         nbrs = adj[u]
         others = full & ~nbrs & ~(1 << u)
-        if not nbrs or not others:
+        if not nbrs or not others or _reaches_all_in_two(adj, u, full):
             continue
         d0 = sum_dist(adj, u)
         f = nbrs

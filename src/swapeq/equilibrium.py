@@ -93,6 +93,11 @@ def is_equilibrium(g: Graph) -> EquilibriumVerdict:
 
     The witness, when present, is the first strictly improving deviation in
     (agent, drop, add) order, paired with its cost delta.
+
+    Unlike ``kernels.first_improving_swap`` this does not skip agents of
+    eccentricity <= 2: their deviations cannot improve, but
+    ``per_agent_min`` reports the minimal delta of every agent, which needs
+    each agent's deviations scanned.
     """
     _require_connected(g)
     witness = None

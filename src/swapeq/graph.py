@@ -9,6 +9,7 @@ floats.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable
 
 from . import kernels
@@ -93,9 +94,14 @@ class Graph:
     n: int
     adj: tuple[int, ...]
 
-    @property
+    @cached_property
     def m(self) -> int:
+        """Edge count, summed once per graph on first read."""
         return sum(a.bit_count() for a in self.adj) // 2
+
+    def __reduce__(self):
+        # Pickle (n, adj) only, never the cached edge count.
+        return (Graph, (self.n, self.adj))
 
     @property
     def edges(self) -> tuple[Edge, ...]:

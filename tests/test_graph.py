@@ -1,3 +1,5 @@
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -36,6 +38,17 @@ class TestBuildGraph:
     def test_single_vertex(self):
         g = build_graph(1, [])
         assert g.n == 1 and g.m == 0
+
+    def test_cached_edge_count_is_not_identity(self):
+        # m is summed once and cached on the instance; equality, hashing and
+        # pickling still see (n, adj) only.
+        g = build_graph(4, [(0, 1), (1, 2)])
+        assert g.m == 2 and g.__dict__["m"] == 2
+        fresh = build_graph(4, [(0, 1), (1, 2)])
+        assert g == fresh and hash(g) == hash(fresh)
+        assert pickle.dumps(g) == pickle.dumps(fresh)
+        copy = pickle.loads(pickle.dumps(g))
+        assert copy == g and "m" not in copy.__dict__ and copy.m == 2
 
     def test_duplicate_edge(self):
         with pytest.raises(DuplicateEdgeError):

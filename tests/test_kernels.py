@@ -1,7 +1,8 @@
 """The bitset kernels against the brute-force oracle in tests/oracle.py.
 
-Every labeled graph with n <= 5 is checked, plus a seeded sample at n = 6.
-Bipartiteness is checked against networkx.
+Every labeled graph with n <= 5 is checked, plus seeded samples at n = 6
+and n = 7 and the six n = 8 equilibria of diameter 3.  Bipartiteness is
+checked against networkx.
 """
 
 import random
@@ -12,10 +13,18 @@ import pytest
 import swapeq
 from swapeq import _kernels_py as k
 from swapeq import kernels
+from swapeq.equilibrium import is_equilibrium
+from swapeq.families import complete, complete_bipartite, path
+from swapeq.graph import build_graph
+from swapeq.io import parse_graph6
 
 import oracle
 
-CASES = [1, 2, 3, 4, 5, "n6-sample"]
+CASES = [1, 2, 3, 4, 5, "n6-sample", "n7-sample"]
+
+# Canonical graph6 of the six equilibrium classes of diameter 3 at n = 8,
+# the smallest n where any equilibrium has diameter above 2.
+DIAMETER3_N8 = ["G?LTMO", "G?LTMS", "G@QMf?", "G@Q\\U_", "G@Q\\Uc", "G@Q\\Uo"]
 
 
 def graph_at(n, mask):
@@ -29,10 +38,19 @@ def graph_at(n, mask):
     return n, tuple(adj), edges
 
 
+def random_mask(rng, pairs):
+    """A G(n, p) edge mask with p drawn uniformly from [0.25, 0.75]."""
+    p = rng.uniform(0.25, 0.75)
+    return sum(1 << b for b in range(pairs) if rng.random() < p)
+
+
 def labeled_graphs(case):
     if case == "n6-sample":
         rng = random.Random(20261018)
         return [graph_at(6, rng.getrandbits(15)) for _ in range(300)]
+    if case == "n7-sample":
+        rng = random.Random(20261019)
+        return [graph_at(7, random_mask(rng, 21)) for _ in range(200)]
     return [graph_at(case, mask) for mask in range(1 << (case * (case - 1) // 2))]
 
 
@@ -118,3 +136,63 @@ def test_scan_masks_full(n):
 
 def test_scan_masks_subrange():
     assert k.scan_masks(6, 5000, 5400) == scan_expected(6, 5000, 5400)
+
+
+def petersen():
+    outer = [(i, (i + 1) % 5) for i in range(5)]
+    spokes = [(i, i + 5) for i in range(5)]
+    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    return build_graph(10, outer + spokes + inner)
+
+
+def scanned_agents(monkeypatch, kernel, adj):
+    """(result, agents whose swaps the kernel evaluated) for one call."""
+    agents = []
+    real = k.swapped_sum_dist
+
+    def counting(adj, u, v, vp):
+        agents.append(u)
+        return real(adj, u, v, vp)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(k, "swapped_sum_dist", counting)
+        return kernel(adj), agents
+
+
+def far_agents(adj):
+    """Agents of eccentricity >= 3: the only ones that can improve."""
+    return {u for u in range(len(adj)) if k.eccentricity(adj, u) >= 3}
+
+
+@pytest.mark.parametrize("g6", DIAMETER3_N8)
+def test_diameter3_equilibria_n8(g6, monkeypatch):
+    g = parse_graph6(g6)
+    edges = list(g.edges)
+    eccs = {k.eccentricity(g.adj, u) for u in range(g.n)}
+    assert eccs == {2, 3}
+    assert oracle.equilibrium(g.n, edges) == (True, None)
+    assert oracle_best(oracle_deltas(g.n, edges)) is None
+    assert is_equilibrium(g).is_equilibrium
+    for kernel in (k.first_improving_swap, k.best_swap):
+        result, agents = scanned_agents(monkeypatch, kernel, g.adj)
+        assert result is None
+        assert set(agents) == far_agents(g.adj)
+
+
+@pytest.mark.parametrize("g", [complete(4), complete_bipartite(3, 3), petersen()],
+                         ids=["K4", "K3,3", "Petersen"])
+def test_diameter2_scans_no_swap(g, monkeypatch):
+    assert k.diameter(g.adj) <= 2
+    for kernel in (k.first_improving_swap, k.best_swap):
+        assert scanned_agents(monkeypatch, kernel, g.adj) == (None, [])
+    # is_equilibrium keeps its full scan: every agent with a swap gets a minimum.
+    verdict = is_equilibrium(g)
+    assert verdict.is_equilibrium
+    assert set(verdict.per_agent_min) == {u for u in range(g.n) if g.degree(u) < g.n - 1}
+
+
+def test_mixed_graph_scans_far_agents_only(monkeypatch):
+    g = path(5)  # eccentricities 4, 3, 2, 3, 4
+    result, agents = scanned_agents(monkeypatch, k.best_swap, g.adj)
+    assert result == oracle_best(oracle_deltas(g.n, list(g.edges)))
+    assert set(agents) == far_agents(g.adj) == {0, 1, 3, 4}
