@@ -153,13 +153,18 @@ def bipartite_side(adj):
     return side1
 
 
+def swapped_rows(adj, u, v, vp):
+    """Rows with edge {u,v} replaced by {u,vp} (set semantics)."""
+    rows = list(adj)
+    rows[u] = (rows[u] & ~(1 << v)) | (1 << vp)
+    rows[v] &= ~(1 << u)
+    rows[vp] |= 1 << u
+    return rows
+
+
 def swapped_sum_dist(adj, u, v, vp):
-    """sum_dist from u after replacing edge {u,v} by {u,vp} (set semantics)."""
-    adj2 = list(adj)
-    adj2[u] = (adj2[u] & ~(1 << v)) | (1 << vp)
-    adj2[v] &= ~(1 << u)
-    adj2[vp] |= 1 << u
-    return sum_dist(adj2, u)
+    """sum_dist from u after replacing edge {u,v} by {u,vp}."""
+    return sum_dist(swapped_rows(adj, u, v, vp), u)
 
 
 def _reaches_all_in_two(adj, u, full):
@@ -173,16 +178,17 @@ def _reaches_all_in_two(adj, u, full):
     return ball == full
 
 
-def first_improving_swap(adj):
-    """First (u, v, vp, delta) in lexicographic (u, v, vp) order with delta < 0.
+def _improving_swaps(adj):
+    """Yield (u, v, vp, delta) for every swap with delta < 0, in (u, v, vp) order.
 
-    Scans swaps drop-{u,v}/add-{u,vp} over neighbours v and non-adjacent
-    targets vp. Assumes a connected graph; returns None at equilibrium.
+    A swap of agent u drops {u,v} for a neighbour v and adds {u,vp} for a
+    non-adjacent vp; delta is u's distance sum after minus before.  Assumes
+    a connected graph.
 
     Agents of eccentricity <= 2 are skipped: such a swap brings vp from
     distance 2 to 1, sends v from 1 to at least 2 and brings no other
     vertex closer, so its delta is >= 0 (Alon, Demaine, Hajiaghayi and
-    Leighton's swap model).  The first witness is unchanged.
+    Leighton's swap model).  No improving swap is lost.
     """
     n = len(adj)
     full = (1 << n) - 1
@@ -204,41 +210,18 @@ def first_improving_swap(adj):
                 g ^= c
                 d1 = swapped_sum_dist(adj, u, v, vp)
                 if 0 <= d1 < d0:
-                    return (u, v, vp, d1 - d0)
-    return None
+                    yield u, v, vp, d1 - d0
+
+
+def first_improving_swap(adj):
+    """First improving (u, v, vp, delta) in (u, v, vp) order; None at equilibrium."""
+    return next(_improving_swaps(adj), None)
 
 
 def best_swap(adj):
-    """Swap minimising (delta, u, v, vp); None unless some delta < 0.
-
-    Agents of eccentricity <= 2 have no swap with delta < 0 (see
-    first_improving_swap) and are skipped, so the minimum is unchanged.
-    """
-    n = len(adj)
-    full = (1 << n) - 1
-    best = None
-    for u in range(n):
-        nbrs = adj[u]
-        others = full & ~nbrs & ~(1 << u)
-        if not nbrs or not others or _reaches_all_in_two(adj, u, full):
-            continue
-        d0 = sum_dist(adj, u)
-        f = nbrs
-        while f:
-            b = f & -f
-            v = b.bit_length() - 1
-            f ^= b
-            g = others
-            while g:
-                c = g & -g
-                vp = c.bit_length() - 1
-                g ^= c
-                d1 = swapped_sum_dist(adj, u, v, vp)
-                if d1 >= 0:
-                    delta = d1 - d0
-                    if delta < 0 and (best is None or delta < best[0]):
-                        best = (delta, u, v, vp)
-    return best
+    """Improving swap minimising (delta, u, v, vp); None at equilibrium."""
+    swaps = ((delta, u, v, vp) for u, v, vp, delta in _improving_swaps(adj))
+    return min(swaps, default=None)
 
 
 def scan_masks(n, lo, hi):

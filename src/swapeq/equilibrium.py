@@ -15,7 +15,9 @@ cannot change a verdict.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import kernels
 from .graph import INF, Graph, GraphError
@@ -44,7 +46,7 @@ class Deviation:
 class EquilibriumVerdict:
     is_equilibrium: bool
     witness: tuple[Deviation, int] | None
-    per_agent_min: dict  # agent -> minimal cost delta (agents with >= 1 deviation)
+    per_agent_min: Mapping  # agent -> minimal cost delta (agents with >= 1 deviation)
 
 
 @dataclass(frozen=True)
@@ -89,32 +91,38 @@ def cost_delta(g: Graph, d: Deviation):
 
 
 def is_equilibrium(g: Graph) -> EquilibriumVerdict:
-    """Exhaustive verdict over every deviation of every agent.
+    """Verdict and witness from ``kernels.first_improving_swap``.
 
     The witness, when present, is the first strictly improving deviation in
-    (agent, drop, add) order, paired with its cost delta.
-
-    Unlike ``kernels.first_improving_swap`` this does not skip agents of
-    eccentricity <= 2: their deviations cannot improve, but
-    ``per_agent_min`` reports the minimal delta of every agent, which needs
-    each agent's deviations scanned.
+    (agent, drop, add) order, paired with its cost delta.  ``per_agent_min``
+    scans every deviation of every agent, but only when it is first read.
     """
     _require_connected(g)
-    witness = None
-    mins: dict = {}
-    for u in range(g.n):
-        before = kernels.sum_dist(g.adj, u)
-        best = None
-        for d in enumerate_deviations(g, u):
-            after = kernels.swapped_sum_dist(g.adj, u, d.drop, d.add)
-            delta = INF if after < 0 else after - before
-            if best is None or delta < best:
-                best = delta
-            if witness is None and isinstance(delta, int) and delta < 0:
-                witness = (d, delta)
-        if best is not None:
-            mins[u] = best
-    return EquilibriumVerdict(witness is None, witness, mins)
+    found = kernels.first_improving_swap(g.adj)
+    witness = None if found is None else (Deviation(*found[:3]), found[3])
+    return EquilibriumVerdict(found is None, witness, _AgentMinima(g))
+
+
+class _AgentMinima(Mapping):
+    """Lazy ``per_agent_min``: every agent's deviations are scanned on first read."""
+
+    def __init__(self, g: Graph):
+        self._g = g
+
+    @cached_property
+    def _mins(self) -> dict:
+        g = self._g
+        return {u: min(cost_delta(g, d) for d in devs)
+                for u in range(g.n) if (devs := enumerate_deviations(g, u))}
+
+    def __getitem__(self, u):
+        return self._mins[u]
+
+    def __iter__(self):
+        return iter(self._mins)
+
+    def __len__(self):
+        return len(self._mins)
 
 
 def best_response_step(g: Graph):

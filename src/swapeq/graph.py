@@ -141,12 +141,7 @@ class Graph:
         Set semantics: if {u, add} already exists the result simply loses
         {u, drop}.
         """
-        rows = list(self.adj)
-        rows[u] &= ~(1 << drop)
-        rows[drop] &= ~(1 << u)
-        rows[u] |= 1 << add
-        rows[add] |= 1 << u
-        return Graph(self.n, tuple(rows))
+        return Graph(self.n, tuple(kernels.swapped_rows(self.adj, u, drop, add)))
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, edges={list(self.edges)})"
@@ -232,4 +227,9 @@ def distance_layer(g: Graph, subset: Iterable[int], u: int, i: int) -> frozenset
     """Vertices of the subset at distance exactly i from u (measured in g)."""
     g.check_vertex(u)
     raw = kernels.bfs_dists(g.adj, u)
-    return frozenset(v for v in subset if raw[v] == i)
+    layer = set()
+    for v in subset:
+        g.check_vertex(v)
+        if raw[v] == i:
+            layer.add(v)
+    return frozenset(layer)

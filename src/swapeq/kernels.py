@@ -19,6 +19,7 @@ from ._kernels_py import (
     is_connected,
     scan_masks,
     sum_dist,
+    swapped_rows,
     swapped_sum_dist,
 )
 

@@ -194,7 +194,7 @@ class Classification:
 @lru_cache(maxsize=2048)
 def classify(g: Graph) -> Classification:
     """Recognize the graph classes the structural results quantify over."""
-    _require_connected(g)
+    blocks = decompose(g).bcc  # raises DisconnectedError on a disconnected g
     n, m = g.n, g.m
     tree = m == n - 1
     star = tree and any(g.degree(v) == n - 1 for v in range(n))
@@ -209,7 +209,7 @@ def classify(g: Graph) -> Classification:
 
     block_graph = True
     cactus = True
-    for block in decompose(g).bcc:
+    for block in blocks:
         vb = block_vertices(block)
         k = len(vb)
         if len(block) != k * (k - 1) // 2:

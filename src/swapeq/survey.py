@@ -429,6 +429,8 @@ def run_survey(config: SurveyConfig) -> SurveyResult:
             raise SurveyConfigError(f"unknown claim {c!r}")
     if config.workers < 1:
         raise SurveyConfigError(f"workers must be >= 1, got {config.workers}")
+    if config.n is not None and config.graph6_lines is not None:
+        raise SurveyConfigError("survey takes either n or a graph6 stream, not both")
     tasks = list(_tasks(config))
     parallel = config.workers > 1 and len(tasks) > 1
 

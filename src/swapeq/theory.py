@@ -191,10 +191,7 @@ def aggregate_swaps(g: Graph, component) -> SwapAggregate:
             nums = [0] * n
             cost_num = 0
             for vp in targets:
-                rows = list(g.adj)
-                rows[agent] = (rows[agent] & ~(1 << dropped)) | (1 << vp)
-                rows[dropped] &= ~(1 << agent)
-                rows[vp] |= 1 << agent
+                rows = kernels.swapped_rows(g.adj, agent, dropped, vp)
                 d1vec = kernels.bfs_dists(rows, agent)
                 for w in range(n):
                     nums[w] += d1vec[w] - d0vec[w]

@@ -107,6 +107,9 @@ class TestDistances:
         assert distance_layer(c4, range(4), 0, 1) == {1, 3}
         assert distance_layer(c4, range(4), 0, 2) == {2}
         assert distance_layer(c4, {1, 2}, 0, 1) == {1}
+        for subset in ([-1, 3], [3, 7]):  # no wrap-around, no bare IndexError
+            with pytest.raises(VertexRangeError):
+                distance_layer(path(4), subset, 0, 3)
 
 
 class TestInf:

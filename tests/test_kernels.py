@@ -13,9 +13,9 @@ import pytest
 import swapeq
 from swapeq import _kernels_py as k
 from swapeq import kernels
-from swapeq.equilibrium import is_equilibrium
+from swapeq.equilibrium import Deviation, is_equilibrium
 from swapeq.families import complete, complete_bipartite, path
-from swapeq.graph import build_graph
+from swapeq.graph import INF, build_graph, graph_from_adj
 from swapeq.io import parse_graph6
 
 import oracle
@@ -117,6 +117,16 @@ def test_swaps(case):
         assert k.best_swap(adj) == oracle_best(deltas)
 
 
+@pytest.mark.parametrize("case", CASES)
+def test_is_equilibrium_witness(case):
+    """is_equilibrium's witness is the oracle's first improving swap."""
+    for n, adj, edges in connected_graphs(case):
+        verdict, witness = oracle.equilibrium(n, edges)
+        expected = None if witness is None else (Deviation(*witness[:3]), witness[3])
+        got = is_equilibrium(graph_from_adj(n, adj))
+        assert (got.is_equilibrium, got.witness) == (verdict, expected)
+
+
 def scan_expected(n, lo, hi):
     """scan_masks(n, lo, hi) as the oracle and networkx see it."""
     out = []
@@ -145,8 +155,9 @@ def petersen():
     return build_graph(10, outer + spokes + inner)
 
 
-def scanned_agents(monkeypatch, kernel, adj):
-    """(result, agents whose swaps the kernel evaluated) for one call."""
+def count_swaps(mp):
+    """Record the agent of every swapped_sum_dist call, inside the kernels
+    and through the kernels module; returns the list it appends to."""
     agents = []
     real = k.swapped_sum_dist
 
@@ -154,8 +165,15 @@ def scanned_agents(monkeypatch, kernel, adj):
         agents.append(u)
         return real(adj, u, v, vp)
 
+    mp.setattr(k, "swapped_sum_dist", counting)
+    mp.setattr(kernels, "swapped_sum_dist", counting)
+    return agents
+
+
+def scanned_agents(monkeypatch, kernel, adj):
+    """(result, agents whose swaps the kernel evaluated) for one call."""
     with monkeypatch.context() as mp:
-        mp.setattr(k, "swapped_sum_dist", counting)
+        agents = count_swaps(mp)
         return kernel(adj), agents
 
 
@@ -185,7 +203,7 @@ def test_diameter2_scans_no_swap(g, monkeypatch):
     assert k.diameter(g.adj) <= 2
     for kernel in (k.first_improving_swap, k.best_swap):
         assert scanned_agents(monkeypatch, kernel, g.adj) == (None, [])
-    # is_equilibrium keeps its full scan: every agent with a swap gets a minimum.
+    # Read, per_agent_min still reports a minimum for every agent with a swap.
     verdict = is_equilibrium(g)
     assert verdict.is_equilibrium
     assert set(verdict.per_agent_min) == {u for u in range(g.n) if g.degree(u) < g.n - 1}
@@ -196,3 +214,21 @@ def test_mixed_graph_scans_far_agents_only(monkeypatch):
     result, agents = scanned_agents(monkeypatch, k.best_swap, g.adj)
     assert result == oracle_best(oracle_deltas(g.n, list(g.edges)))
     assert set(agents) == far_agents(g.adj) == {0, 1, 3, 4}
+
+
+@pytest.mark.parametrize("g", [complete(4), complete_bipartite(3, 3), petersen(),
+                               *map(parse_graph6, DIAMETER3_N8)],
+                         ids=["K4", "K3,3", "Petersen", *DIAMETER3_N8])
+def test_agent_minima_scanned_on_read(g, monkeypatch):
+    """is_equilibrium scans the far agents only; reading per_agent_min scans
+    every agent's swaps and gives the oracle's minima."""
+    agents = count_swaps(monkeypatch)
+    verdict = is_equilibrium(g)
+    assert verdict.is_equilibrium
+    assert set(agents) == far_agents(g.adj)
+    expected = {}
+    for (u, _, _), d in oracle_deltas(g.n, list(g.edges)).items():
+        d = INF if d is None else d
+        expected[u] = min(expected.get(u, d), d)
+    assert dict(verdict.per_agent_min) == expected
+    assert set(agents) == set(expected)

@@ -163,6 +163,12 @@ class TestClassify:
             if c.tree:
                 assert c.block_graph and c.cactus
 
+    def test_disconnected(self):
+        g = build_graph(4, [(0, 1), (2, 3)])
+        for _ in range(2):  # a raise is never cached
+            with pytest.raises(DisconnectedError):
+                classify(g)
+
 
 class TestCycleLengths:
     def test_c5_pendant(self):

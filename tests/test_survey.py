@@ -236,6 +236,8 @@ class TestRunSurvey:
         for workers in (0, -2):
             with pytest.raises(SurveyConfigError):
                 run_survey(SurveyConfig(n=4, workers=workers))
+        with pytest.raises(SurveyConfigError):
+            run_survey(SurveyConfig(n=3, graph6_lines=("Bw",)))
 
     @pytest.mark.parametrize("keep_records", [False, True])
     def test_per_graph_work_done_once(self, monkeypatch, keep_records):
