@@ -32,8 +32,8 @@ from .survey import (
 from .theory import (
     aggregate_swaps,
     check_inequalities,
-    closed_form_shift,
     component_diameter,
+    layer_profile,
     strict_witness,
 )
 
@@ -165,14 +165,16 @@ def _cmd_theory(args) -> int:
             "graph is not bipartite: closed-form columns and inequality "
             "reports are unavailable; simulated values are shown")
 
+    # one layer profile per observer serves its closed-form column and its
+    # inequality report
+    profiles = {w: layer_profile(g, comp, w) for w in observers} if bip else {}
+    pairs = sorted(agg.families)
     rows = []
     for w in observers:
-        for (ww, u, v), val in sorted(agg.shifts.items()):
-            if ww != w:
-                continue
-            row = {"observer": w, "agent": u, "dropped": v, "simulated": val}
+        for u, v in pairs:
+            row = {"observer": w, "agent": u, "dropped": v, "simulated": agg.shifts[(w, u, v)]}
             if bip:
-                row["closed_form"] = closed_form_shift(g, comp, w, u, v)
+                row["closed_form"] = profiles[w].closed_form(u, v)
             rows.append(row)
     payload["shifts"] = rows
     payload["per_observer"] = {str(w): agg.per_observer[w] for w in observers}
@@ -181,7 +183,7 @@ def _cmd_theory(args) -> int:
     if bip:
         payload["inequalities"] = []
         for w in observers:
-            rep = check_inequalities(g, comp, w, agg)
+            rep = check_inequalities(g, comp, w, agg, profiles[w])
             payload["inequalities"].append({
                 "observer": w,
                 "down_mass": rep.down_mass,
@@ -195,7 +197,7 @@ def _cmd_theory(args) -> int:
                 "bound": rep.bound,
                 "final_bound_holds": rep.final_bound_holds,
             })
-        wit = strict_witness(g, comp)
+        wit = strict_witness(g, comp, agg)
         payload["strict_witness"] = (
             None if wit is None
             else {"observer": wit.observer, "shift_total": wit.shift_total})

@@ -11,9 +11,10 @@ import csv
 import io as _stdio
 import json
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Any
 
-from .graph import Graph, GraphError, build_graph
+from .graph import Graph, GraphError, _Infinity, build_graph
 
 GRAPH6_PREFIX = ">>graph6<<"
 GRAPH6_MAX_N = 62
@@ -180,10 +181,6 @@ class ReportDocument:
 
 
 def _jsonable(obj):
-    from fractions import Fraction
-
-    from .graph import _Infinity
-
     if isinstance(obj, Fraction):
         return f"{obj.numerator}/{obj.denominator}"
     if isinstance(obj, _Infinity):

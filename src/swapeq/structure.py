@@ -39,8 +39,8 @@ def _require_connected(g: Graph) -> None:
 
 @lru_cache(maxsize=2048)
 def decompose(g: Graph) -> Decomposition:
-    """One depth-first lowpoint pass collecting bridges, cuts and blocks."""
-    _require_connected(g)
+    """One depth-first lowpoint pass collecting bridges, cuts and blocks;
+    a vertex the pass from 0 never reaches means g is disconnected."""
     n = g.n
     disc = [-1] * n
     low = [0] * n
@@ -80,6 +80,8 @@ def decompose(g: Graph) -> Decomposition:
                 low[u] = min(low[u], disc[v])
 
     dfs(0, -1)
+    if timer < n:
+        raise DisconnectedError("operation requires a connected graph")
 
     bridge_set = set(bridges)
     # strip bridges, flood the rest: vertex sets of the bridgeless pieces

@@ -14,6 +14,7 @@ import multiprocessing
 import sys
 from collections import Counter
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import cached_property
 
 from . import kernels
@@ -82,13 +83,14 @@ def _delta_nonpos(f: _Facts):
         if len(comp) < 3:
             continue
         agg = aggregate_swaps(g, comp)
-        if agg.total != agg.observer_total:
+        # integer numerators over agg.common; Fractions only for a message
+        if agg.total_num != sum(agg.observer_nums):
             return (f"accounting identity broken on component {sorted(comp)}: "
                     f"{agg.total} != {agg.observer_total}")
-        for w in range(g.n):
-            if agg.per_observer[w] > 0:
+        for w, num in enumerate(agg.observer_nums):
+            if num > 0:
                 return (f"observer {w} has positive swap total "
-                        f"{agg.per_observer[w]} on component {sorted(comp)}")
+                        f"{Fraction(num, agg.common)} on component {sorted(comp)}")
     return None
 
 

@@ -19,7 +19,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
+from operator import add
 
 from . import kernels
 from .equilibrium import is_equilibrium
@@ -68,6 +70,18 @@ class LayerProfile:
     entry: int
     mixed: frozenset[int]
 
+    def closed_form(self, agent: int, dropped: int) -> Fraction:
+        """closed_form_shift for this observer, read off the profile.
+
+        The graph must be bipartite, so deg_H(dropped) is |closer| + |farther|,
+        and {agent, dropped} an edge of the component with deg_H(dropped) >= 2.
+        """
+        if dropped not in self.closer[agent]:
+            return Fraction(0)
+        down, up = len(self.closer[dropped]), len(self.farther[dropped])
+        num = up - down - 1 if len(self.closer[agent]) == 1 else -down
+        return Fraction(num, down + up - 1)
+
 
 def layer_profile(g: Graph, component, w: int) -> LayerProfile:
     comp = _validate_tecc(g, component)
@@ -80,9 +94,10 @@ def layer_profile(g: Graph, component, w: int) -> LayerProfile:
         closer[u] = frozenset(v for v in nbrs if dw[v] == dw[u] - 1)
         farther[u] = frozenset(v for v in nbrs if dw[v] == dw[u] + 1)
     entry = min(comp, key=lambda u: (dw[u], u))
-    no_closer = [u for u in comp if not closer[u]]
-    assert no_closer == [entry], "entry vertex must be the unique one with no closer neighbour"
-    assert w in pendant_world(g, comp, entry), "observer must live in the entry's world"
+    if [u for u in comp if not closer[u]] != [entry]:
+        raise AssertionError("entry vertex must be the unique one with no closer neighbour")
+    if w not in pendant_world(g, comp, entry):
+        raise AssertionError("observer must live in the entry's world")
     mixed = frozenset(u for u in comp if closer[u] and farther[u])
     return LayerProfile(comp, w, closer, farther, entry, mixed)
 
@@ -106,17 +121,9 @@ def closed_form_shift(g: Graph, component, w: int, agent: int, dropped: int) -> 
     prof = layer_profile(g, comp, w)
     if agent not in comp or dropped not in comp or not g.has_edge(agent, dropped):
         raise ComponentError("agent and dropped must be adjacent vertices of the component")
-    deg_v = len(_h_neighbors(g, comp, dropped))
-    if deg_v < 2:
+    if len(_h_neighbors(g, comp, dropped)) < 2:
         raise ComponentError("dropped vertex needs a second neighbour inside the component")
-    down_u = prof.closer[agent]
-    if dropped in down_u:
-        if len(down_u) == 1:
-            num = -len(prof.closer[dropped]) + len(prof.farther[dropped]) - 1
-        else:
-            num = -len(prof.closer[dropped])
-        return Fraction(num, deg_v - 1)
-    return Fraction(0)
+    return prof.closed_form(agent, dropped)
 
 
 def simulated_shift(g: Graph, component, w: int, agent: int, dropped: int) -> Fraction:
@@ -133,14 +140,23 @@ def simulated_shift(g: Graph, component, w: int, agent: int, dropped: int) -> Fr
     for vp in targets:
         g2 = g.replace_edge(agent, dropped, vp)
         d1 = kernels.bfs_dists(g2.adj, agent)[w]
-        assert d1 >= 0, "swap inside a bridgeless component cannot disconnect"
+        if d1 < 0:
+            raise AssertionError("swap inside a bridgeless component cannot disconnect")
         total += d1 - d0
     return Fraction(total, len(targets))
 
 
 @dataclass(frozen=True)
 class SwapAggregate:
-    """Every aggregate the analysis uses, all exact.
+    """Every aggregate the analysis uses, kept as integer numerators over one
+    common denominator; the exact Fraction views are built on first read.
+
+    common: lcm of the deg_H(v) - 1 values.
+    families[(u, v)]: (numerators indexed by observer w, cost numerator) of
+        the (u, v) swap family.
+    observer_nums[w]: sum of the family numerators for observer w.
+    total_num: sum of the cost numerators, from the distance sums of the
+        deviated graphs, not from the per-observer distances.
 
     shifts[(w, u, v)]: average d(u, w) change for the (u, v) swap family.
     per_observer[w]: sum of shifts over all pairs.
@@ -149,14 +165,34 @@ class SwapAggregate:
     """
 
     component: frozenset[int]
-    shifts: dict
-    per_observer: dict
-    swap_costs: dict
-    total: Fraction
+    common: int
+    families: dict
+    observer_nums: tuple[int, ...]
+    total_num: int
+
+    @cached_property
+    def shifts(self) -> dict:
+        c = self.common
+        return {(w, u, v): Fraction(x, c)
+                for (u, v), (nums, _cost) in self.families.items()
+                for w, x in enumerate(nums)}
+
+    @cached_property
+    def per_observer(self) -> dict:
+        return {w: Fraction(x, self.common) for w, x in enumerate(self.observer_nums)}
+
+    @cached_property
+    def swap_costs(self) -> dict:
+        return {pair: Fraction(cost, self.common)
+                for pair, (_nums, cost) in self.families.items()}
+
+    @property
+    def total(self) -> Fraction:
+        return Fraction(self.total_num, self.common)
 
     @property
     def observer_total(self) -> Fraction:
-        return sum(self.per_observer.values(), Fraction(0))
+        return Fraction(sum(self.observer_nums), self.common)
 
 
 def aggregate_swaps(g: Graph, component) -> SwapAggregate:
@@ -167,49 +203,34 @@ def aggregate_swaps(g: Graph, component) -> SwapAggregate:
     distance sums, so the accounting identity is a real cross-check.
     """
     comp = _validate_tecc(g, component)
-    n = g.n
     members = sorted(comp)
-    degs = {u: len(_h_neighbors(g, comp, u)) for u in members}
-    for u in members:
-        if degs[u] == 1:
-            raise ComponentError("component vertices must not have degree 1 inside it")
+    nbrs = {u: _h_neighbors(g, comp, u) for u in members}
+    if any(len(nbrs[u]) == 1 for u in members):
+        raise ComponentError("component vertices must not have degree 1 inside it")
+    common = lcm(*(len(nbrs[u]) - 1 for u in members if nbrs[u]))
 
-    dens = [degs[u] - 1 for u in members if degs[u] >= 2]
-    common = lcm(*dens) if dens else 1
-
-    shifts = {}
-    swap_costs = {}
-    obs_num = [0] * n
+    families = {}
+    obs = [0] * g.n
     total_num = 0
-
     for agent in members:
         d0vec = kernels.bfs_dists(g.adj, agent)
         sum0 = kernels.sum_dist(g.adj, agent)
-        for dropped in sorted(_h_neighbors(g, comp, agent)):
-            targets = [v for v in sorted(_h_neighbors(g, comp, dropped)) if v != agent]
+        for dropped in nbrs[agent]:
+            targets = [v for v in nbrs[dropped] if v != agent]
             den = len(targets)
-            nums = [0] * n
-            cost_num = 0
+            acc = [-den * d for d in d0vec]
+            cost = -den * sum0
             for vp in targets:
                 rows = kernels.swapped_rows(g.adj, agent, dropped, vp)
-                d1vec = kernels.bfs_dists(rows, agent)
-                for w in range(n):
-                    nums[w] += d1vec[w] - d0vec[w]
-                cost_num += kernels.sum_dist(rows, agent) - sum0
-            for w in range(n):
-                shifts[(w, agent, dropped)] = Fraction(nums[w], den)
-                obs_num[w] += nums[w] * (common // den)
-            swap_costs[(agent, dropped)] = Fraction(cost_num, den)
-            total_num += cost_num * (common // den)
+                acc = list(map(add, acc, kernels.bfs_dists(rows, agent)))
+                cost += kernels.sum_dist(rows, agent)
+            scale = common // den  # den divides common: numerators over common
+            nums = tuple(x * scale for x in acc)
+            obs = list(map(add, obs, nums))
+            families[(agent, dropped)] = (nums, cost * scale)
+            total_num += cost * scale
 
-    per_observer = {w: Fraction(obs_num[w], common) for w in range(n)}
-    return SwapAggregate(
-        component=comp,
-        shifts=shifts,
-        per_observer=per_observer,
-        swap_costs=swap_costs,
-        total=Fraction(total_num, common),
-    )
+    return SwapAggregate(comp, common, families, tuple(obs), total_num)
 
 
 @dataclass(frozen=True)
@@ -248,13 +269,26 @@ class InequalityReport:
 
 
 def check_inequalities(
-    g: Graph, component, w: int, aggregate: SwapAggregate | None = None
+    g: Graph,
+    component,
+    w: int,
+    aggregate: SwapAggregate | None = None,
+    profile: LayerProfile | None = None,
 ) -> InequalityReport:
-    """Evaluate both sides of every inequality in the nonpositivity argument."""
-    _require_bipartite(g)
-    comp = _validate_tecc(g, component)
-    prof = layer_profile(g, comp, w)
-    degs = {u: len(_h_neighbors(g, comp, u)) for u in comp}
+    """Evaluate both sides of every inequality in the nonpositivity argument.
+
+    aggregate and profile, when given, must be aggregate_swaps(g, component)
+    and layer_profile(g, component, w) of this graph; with a profile the
+    bipartite test is the caller's.
+    """
+    prof = profile
+    if prof is None:
+        _require_bipartite(g)
+        prof = layer_profile(g, component, w)
+    elif prof.observer != w or prof.component != frozenset(component):
+        raise ComponentError("profile belongs to another observer or component")
+    comp = prof.component
+    degs = {u: len(prof.closer[u]) + len(prof.farther[u]) for u in comp}
 
     down_mass = Fraction(0)
     for v in prof.mixed:
@@ -274,6 +308,8 @@ def check_inequalities(
 
     if aggregate is None:
         aggregate = aggregate_swaps(g, comp)
+    elif aggregate.component != comp:
+        raise ComponentError("aggregate belongs to another component")
     observer_total = aggregate.per_observer[w]
     bound = Fraction(single_down_count - z_count)
     return InequalityReport(
@@ -310,16 +346,20 @@ def component_diameter(g: Graph, component) -> int:
     return best
 
 
-def strict_witness(g: Graph, component) -> StrictWitness | None:
+def strict_witness(
+    g: Graph, component, aggregate: SwapAggregate | None = None
+) -> StrictWitness | None:
     """An observer with strictly negative per-observer total, whenever the
     component's diameter exceeds 2 (bipartite graphs).
 
     The observer is the lexicographically first endpoint of a diametral pair
     (it belongs to its own pendant world).  Returns None when the diameter
-    is at most 2.
+    is at most 2.  aggregate, when given, must be aggregate_swaps(g, component).
     """
     _require_bipartite(g)
     comp = _validate_tecc(g, component)
+    if aggregate is not None and aggregate.component != comp:
+        raise ComponentError("aggregate belongs to another component")
     members = sorted(comp)
     best = (0, members[0])
     for u in members:
@@ -330,7 +370,9 @@ def strict_witness(g: Graph, component) -> StrictWitness | None:
     diam, endpoint = best
     if diam <= 2:
         return None
-    total = aggregate_swaps(g, comp).per_observer[endpoint]
+    if aggregate is None:
+        aggregate = aggregate_swaps(g, comp)
+    total = aggregate.per_observer[endpoint]
     if not total < 0:
         raise AssertionError(
             f"diameter {diam} component without a negative observer total "

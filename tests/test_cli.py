@@ -1,10 +1,12 @@
+import collections
+import hashlib
 import json
 
 import pytest
 
 from swapeq.cli import run
 from swapeq.families import complete, complete_bipartite, cycle, path, star
-from swapeq.graph import Graph
+from swapeq.graph import Graph, build_graph
 from swapeq.io import encode_graph6
 
 
@@ -18,6 +20,27 @@ def write_g6(tmp_path, graphs, name="g.g6"):
     p = tmp_path / name
     p.write_text("".join(encode_graph6(g) + "\n" for g in graphs))
     return str(p)
+
+
+# bipartite, bridgeless, diameter > 2: the benchmark's theory family
+FAR8 = build_graph(8, [(0, 1), (0, 2), (1, 4), (1, 6), (2, 3), (2, 4), (2, 5), (2, 6),
+                       (3, 7), (4, 7), (5, 7), (6, 7)])
+FAR14 = build_graph(14, [
+    (0, 1), (0, 3), (0, 5), (0, 6), (0, 11), (0, 12), (1, 4), (1, 8), (1, 10), (2, 8),
+    (2, 9), (2, 13), (3, 4), (3, 8), (3, 9), (3, 13), (4, 5), (4, 7), (4, 11), (4, 12),
+    (5, 10), (5, 13), (6, 8), (6, 9), (6, 10), (6, 13), (7, 8), (7, 13), (8, 11),
+    (10, 11), (10, 12), (11, 13), (12, 13)])
+
+THEORY_PINS = {
+    "c6_pendant": (
+        build_graph(7, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (0, 6)]),
+        "a078914c39ba466913986cc0b1c5e624814d3a9977e3add5ba4e2abe2e260c64"),
+    "k23": (complete_bipartite(2, 3),
+            "3395b285e5481a4ae3a4bf11f6de1393ef88195549d937480e98292f1566c9fd"),
+    "far8": (FAR8, "3ff370f203b1017af13a5f3d1706de49c047ca35b7d44cd440a52d05ac22b1de"),
+    # not bipartite: the warning path, simulated values only
+    "c5": (cycle(5), "1ca9f12d4a78cc5850b4382c0f569cfb2d927a9273ae07b53fcaa2dffcde3076"),
+}
 
 
 class TestCheck:
@@ -95,6 +118,41 @@ class TestTheory:
         assert "closed_form" not in rep["shifts"][0]
         assert "simulated" in rep["shifts"][0]
         assert "inequalities" not in rep
+
+    @pytest.mark.parametrize("name", sorted(THEORY_PINS))
+    def test_observer_all_report_pinned(self, tmp_path, capsys, name):
+        # sha256 of the whole report, tool_version included: any byte that moves shows here
+        g, digest = THEORY_PINS[name]
+        assert run(["theory", write_edges(tmp_path, g), "--observer", "all"]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_observer_all_does_each_piece_once(self, tmp_path, capsys, monkeypatch):
+        from swapeq import cli, kernels, structure, theory
+
+        counts = collections.Counter()
+
+        def counting(key, fn):
+            def wrapper(*args, **kwargs):
+                counts[key] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        agg = counting("aggregate_swaps", theory.aggregate_swaps)
+        monkeypatch.setattr(theory, "aggregate_swaps", agg)
+        monkeypatch.setattr(cli, "aggregate_swaps", agg)
+        monkeypatch.setattr(theory, "LayerProfile", counting("LayerProfile", theory.LayerProfile))
+        monkeypatch.setattr(kernels, "bipartite_side",
+                            counting("bipartite_side", kernels.bipartite_side))
+        structure.decompose.cache_clear()
+        assert run(["theory", write_edges(tmp_path, FAR14), "--observer", "all"]) == 0
+        rep = json.loads(capsys.readouterr().out)
+        assert rep["bipartite"] and rep["strict_witness"] is not None
+        assert counts["aggregate_swaps"] == 1
+        assert counts["LayerProfile"] == FAR14.n
+        # the CLI's bipartite flag and strict_witness's own guard
+        assert counts["bipartite_side"] == 2
+        assert structure.decompose.cache_info().misses == 1
 
     def test_tree_input_fails(self, tmp_path):
         assert run(["theory", write_edges(tmp_path, star(3))]) == 2

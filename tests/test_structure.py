@@ -46,6 +46,24 @@ class TestDecompose:
         with pytest.raises(DisconnectedError):
             decompose(build_graph(3, [(0, 1)]))
 
+    def test_connectivity_from_own_dfs(self, monkeypatch):
+        # no separate connectivity test: a kernel that always answers
+        # "connected" changes nothing, and a raise is never cached
+        from swapeq import kernels
+
+        calls = []
+        monkeypatch.setattr(kernels, "is_connected", lambda adj: calls.append(adj) or True)
+        decompose.cache_clear()
+        try:
+            assert len(decompose(c4_pendant()).tecc) == 2
+            for g in [build_graph(4, [(0, 1), (2, 3)]),
+                      build_graph(5, [(1, 2), (2, 3), (3, 1)])]:
+                with pytest.raises(DisconnectedError):
+                    decompose(g)
+            assert decompose.cache_info().currsize == 1 and calls == []
+        finally:
+            decompose.cache_clear()  # a wrongly cached graph must not leak out
+
     def test_every_edge_in_one_block(self):
         for g in [path(5), c4_pendant(), complete(5), star(4)]:
             seen = [e for b in decompose(g).bcc for e in b]

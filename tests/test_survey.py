@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 
@@ -433,3 +434,25 @@ class TestViolationReporting:
             assert [r.as_dict()["claim_violations"] for r in res.records] == [
                 ";".join(c for g6, c, _ in _FORCED_VIOLATIONS if g6 == line)
                 for line in lines]
+
+    @pytest.mark.parametrize("case", ["positive_observer", "broken_identity"])
+    def test_forced_delta_nonpos(self, monkeypatch, case):
+        # C6's aggregate, with its integer sums replaced over a denominator of 2
+        real = survey.aggregate_swaps
+
+        def forced(g, comp):
+            agg = real(g, comp)
+            nums = (0, 1, 0, 0, 0, -3, 0)[:g.n]
+            total = sum(nums) if case == "positive_observer" else sum(nums) + 1
+            return dataclasses.replace(agg, common=2, observer_nums=nums, total_num=total)
+
+        monkeypatch.setattr(survey, "aggregate_swaps", forced)
+        res = run_survey(SurveyConfig(graph6_lines=("EhEG",), claims=("delta_nonpos",)))
+        detail = {
+            "positive_observer":
+                "observer 1 has positive swap total 1/2 on component [0, 1, 2, 3, 4, 5]",
+            "broken_identity":
+                "accounting identity broken on component [0, 1, 2, 3, 4, 5]: -1/2 != -1",
+        }[case]
+        assert [(v["graph6"], v["claim"], v["detail"]) for v in res.summary.violations] \
+            == [("EhEG", "delta_nonpos", detail)]

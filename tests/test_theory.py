@@ -1,5 +1,10 @@
+import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -78,6 +83,42 @@ class TestLayerProfile:
                         assert u in prof.mixed
 
 
+class TestInvariantsSurviveOptimize:
+    # each invariant forced to fail under python -O, which strips assert
+    SCRIPT = """
+from swapeq import kernels, theory
+from swapeq.families import cycle
+
+g = cycle(4)
+cases = [
+    ("bfs_dists", lambda adj, s: [0] * len(adj), theory.layer_profile, (g, range(4), 0)),
+    ("pendant_world", lambda *a: frozenset(), theory.layer_profile, (g, range(4), 0)),
+    ("bfs_dists", lambda adj, s: [-1] * len(adj), theory.simulated_shift, (g, range(4), 0, 1, 0)),
+]
+for name, fake, fn, args in cases:
+    module = kernels if name == "bfs_dists" else theory
+    real = getattr(module, name)
+    setattr(module, name, fake)
+    try:
+        fn(*args)
+        print("no error")
+    except AssertionError as err:
+        print(err)
+    setattr(module, name, real)
+"""
+
+    def test_raised_under_optimize(self):
+        src = Path(__file__).resolve().parents[1] / "src"
+        out = subprocess.run([sys.executable, "-O", "-c", self.SCRIPT], check=True,
+                             capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": str(src)}).stdout
+        assert out.splitlines() == [
+            "entry vertex must be the unique one with no closer neighbour",
+            "observer must live in the entry's world",
+            "swap inside a bridgeless component cannot disconnect",
+        ]
+
+
 class TestCloserNeighbor:
     def test_c4(self):
         assert closer_neighbor(C4, H4, 0, 1) == 0
@@ -117,6 +158,24 @@ class TestShifts:
 
 
 class TestAggregate:
+    def test_integer_sums(self):
+        # numerators over one common denominator; the Fraction views agree
+        for g in [C4, cycle(6), complete_bipartite(2, 3), complete(4), cycle(5)]:
+            comp = cyclic_components(g)[0]
+            agg = aggregate_swaps(g, comp)
+            degs = [len([v for v in g.neighbors(u) if v in comp]) for u in comp]
+            assert agg.common == math.lcm(*(d - 1 for d in degs))
+            assert all(type(x) is int for x in agg.observer_nums)
+            assert agg.per_observer == {w: Fraction(x, agg.common)
+                                        for w, x in enumerate(agg.observer_nums)}
+            assert agg.total == Fraction(agg.total_num, agg.common)
+            for (u, v), (nums, cost) in agg.families.items():
+                assert agg.swap_costs[(u, v)] == Fraction(cost, agg.common)
+                for w, x in enumerate(nums):
+                    assert agg.shifts[(w, u, v)] == Fraction(x, agg.common)
+            assert len(agg.shifts) == g.n * len(agg.families)
+            assert sum(agg.swap_costs.values()) == agg.total
+
     def test_c4_contributions(self):
         agg = aggregate_swaps(C4, H4)
         assert agg.shifts[(0, 1, 0)] == 1
@@ -160,6 +219,16 @@ class TestInequalities:
                 for case in rep.ratio_cases:
                     assert case.tight == case.via_is_entry
 
+    def test_given_profile(self):
+        g = build_graph(7, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (0, 6)])
+        comp = frozenset(range(6))
+        agg = aggregate_swaps(g, comp)
+        for w in range(g.n):
+            prof = layer_profile(g, comp, w)
+            assert check_inequalities(g, comp, w, agg, prof) == check_inequalities(g, comp, w)
+        with pytest.raises(ComponentError):
+            check_inequalities(g, comp, 1, agg, layer_profile(g, comp, 0))
+
     def test_bound_holds_on_sample(self):
         rng = random.Random(12)
         pool = [g for g in enumerate_labeled_connected(6)]
@@ -200,6 +269,26 @@ class TestStrictWitness:
         assert wit is not None and wit.shift_total < 0
         agg = aggregate_swaps(g, comp)
         assert agg.per_observer[wit.observer] == wit.shift_total
+
+    @pytest.mark.parametrize("g, comp", [
+        (C4, H4),
+        (cycle(6), frozenset(range(6))),
+        (cycle(8), frozenset(range(8))),
+        (build_graph(7, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (0, 6)]),
+         frozenset(range(6))),
+    ])
+    def test_reuses_aggregate(self, g, comp):
+        agg = aggregate_swaps(g, comp)
+        assert strict_witness(g, comp, agg) == strict_witness(g, comp)
+
+    def test_foreign_aggregate(self):
+        g = build_graph(8, [(0, 1), (1, 2), (2, 3), (3, 0), (3, 4),
+                            (4, 5), (5, 6), (6, 7), (7, 4)])
+        first, second = cyclic_components(g)
+        with pytest.raises(ComponentError):
+            strict_witness(g, second, aggregate_swaps(g, first))
+        with pytest.raises(ComponentError):
+            check_inequalities(g, second, 0, aggregate_swaps(g, first))
 
 
 class TestStructuralConditions:
