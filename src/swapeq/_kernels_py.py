@@ -5,6 +5,12 @@ Graphs are adjacency rows: ``adj[v]`` is an int whose bit ``u`` is set iff
 ``n <= 64``.  Distances use ``-1`` as the unreachable sentinel; callers map
 that to the public INF value.
 
+``reach`` is the one bitset BFS: distance sums, eccentricities, the
+connectivity test and ``structure``'s floods are short calls to it.  Three
+loops stay separate because they compute something else: ``bfs_dists``
+(a distance vector), ``bipartite_side`` (the odd-edge test per level) and
+``_reaches_all_in_two`` (a ball of radius 2).
+
 ``tests/test_kernels.py`` checks every kernel against the brute-force
 oracle in ``tests/oracle.py``.
 """
@@ -14,8 +20,39 @@ from __future__ import annotations
 BACKEND = "pure-python"
 
 
+def reach(adj, src, allowed=-1):
+    """BFS from src into the vertices of allowed: (seen, total, ecc).
+
+    seen is the bitmask of reached vertices (src always included), total
+    the sum of their hop distances from src and ecc the largest of them.
+    The one frontier loop behind every distance sum, connectivity test and
+    flood; it is a plain function because a generator made the swap scan
+    30-35 % slower.
+    """
+    seen = frontier = 1 << src
+    total = d = 0
+    while True:
+        nxt = 0
+        f = frontier
+        while f:
+            b = f & -f
+            nxt |= adj[b.bit_length() - 1]
+            f ^= b
+        nxt &= allowed & ~seen
+        if not nxt:
+            return seen, total, d
+        d += 1
+        total += d * nxt.bit_count()
+        seen |= nxt
+        frontier = nxt
+
+
 def bfs_dists(adj, src):
-    """Hop distances from src; -1 where unreachable."""
+    """Hop distances from src; -1 where unreachable.
+
+    Not built on reach: it writes each level's vertices into a vector,
+    which reach never materialises.
+    """
     n = len(adj)
     dist = [-1] * n
     dist[src] = 0
@@ -45,65 +82,18 @@ def bfs_dists(adj, src):
 
 def sum_dist(adj, src):
     """Sum of hop distances from src to every vertex; -1 if any unreachable."""
-    n = len(adj)
-    full = (1 << n) - 1
-    seen = frontier = 1 << src
-    total = 0
-    d = 0
-    while frontier:
-        nxt = 0
-        f = frontier
-        while f:
-            b = f & -f
-            nxt |= adj[b.bit_length() - 1]
-            f ^= b
-        nxt &= ~seen
-        if not nxt:
-            break
-        d += 1
-        total += d * nxt.bit_count()
-        seen |= nxt
-        frontier = nxt
-    return total if seen == full else -1
+    seen, total, _ = reach(adj, src)
+    return total if seen == (1 << len(adj)) - 1 else -1
 
 
 def is_connected(adj):
-    n = len(adj)
-    full = (1 << n) - 1
-    seen = frontier = 1
-    while frontier:
-        nxt = 0
-        f = frontier
-        while f:
-            b = f & -f
-            nxt |= adj[b.bit_length() - 1]
-            f ^= b
-        nxt &= ~seen
-        seen |= nxt
-        frontier = nxt
-    return seen == full
+    return reach(adj, 0)[0] == (1 << len(adj)) - 1
 
 
 def eccentricity(adj, src):
     """Max hop distance from src; -1 if some vertex is unreachable."""
-    n = len(adj)
-    full = (1 << n) - 1
-    seen = frontier = 1 << src
-    d = 0
-    while frontier:
-        nxt = 0
-        f = frontier
-        while f:
-            b = f & -f
-            nxt |= adj[b.bit_length() - 1]
-            f ^= b
-        nxt &= ~seen
-        if not nxt:
-            break
-        d += 1
-        seen |= nxt
-        frontier = nxt
-    return d if seen == full else -1
+    seen, _, ecc = reach(adj, src)
+    return ecc if seen == (1 << len(adj)) - 1 else -1
 
 
 def diameter(adj):
@@ -122,7 +112,9 @@ def bipartite_side(adj):
     """One side of a 2-colouring as a bitmask, or -1 if an odd cycle exists.
 
     The vertex with the lowest id in each component gets colour 0, so the
-    returned mask is deterministic.
+    returned mask is deterministic.  Not built on reach: it colours level
+    by level, tests each level for an inner edge and floods every
+    component, where reach returns one component's totals only.
     """
     n = len(adj)
     seen_all = 0
@@ -138,11 +130,10 @@ def bipartite_side(adj):
             f = level
             while f:
                 b = f & -f
-                a = adj[b.bit_length() - 1]
-                if a & level:
-                    return -1  # edge inside one BFS level closes an odd cycle
-                nxt |= a
+                nxt |= adj[b.bit_length() - 1]
                 f ^= b
+            if nxt & level:
+                return -1  # edge inside one BFS level closes an odd cycle
             if col:
                 side1 |= level
             nxt &= ~seen
@@ -168,7 +159,11 @@ def swapped_sum_dist(adj, u, v, vp):
 
 
 def _reaches_all_in_two(adj, u, full):
-    """True iff every vertex lies within distance 2 of u (ecc(u) <= 2)."""
+    """True iff every vertex lies within distance 2 of u (ecc(u) <= 2).
+
+    Not built on reach: it stops after two levels, where reach would run
+    the whole BFS for every agent the swap scan considers.
+    """
     ball = (1 << u) | adj[u]
     f = adj[u]
     while f:

@@ -128,6 +128,11 @@ class _AgentMinima(Mapping):
 def best_response_step(g: Graph):
     """Deviation minimising (delta, agent, drop, add) if strictly improving."""
     _require_connected(g)
+    return _best_response(g)
+
+
+def _best_response(g: Graph):
+    """best_response_step on a graph already known to be connected."""
     found = kernels.best_swap(g.adj)
     if found is None:
         return None
@@ -138,14 +143,18 @@ def best_response_step(g: Graph):
 
 def run_dynamics(g: Graph, step_limit: int) -> DynamicsTrace:
     """Iterate best responses until equilibrium, a repeated labelled state,
-    or the step limit."""
+    or the step limit.
+
+    Connectivity is tested once, on g: an improving swap leaves the agent
+    a finite distance sum, so every later state is connected too.
+    """
     _require_connected(g)
     states = [g]
     moves: list[Deviation] = []
     seen = {g.adj}
     current = g
     while True:
-        step = best_response_step(current)
+        step = _best_response(current)
         if step is None:
             return DynamicsTrace(tuple(states), tuple(moves), "converged")
         if len(moves) >= step_limit:

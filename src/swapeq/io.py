@@ -180,26 +180,22 @@ class ReportDocument:
     payload: dict[str, Any]
 
 
-def _jsonable(obj):
+def _json_default(obj):
+    """json.dumps hook for the exact values a payload may hold."""
     if isinstance(obj, Fraction):
         return f"{obj.numerator}/{obj.denominator}"
     if isinstance(obj, _Infinity):
         return "INF"
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
     if isinstance(obj, frozenset):
         return sorted(obj)
-    return obj
+    raise TypeError(f"{type(obj).__name__} is not JSON serialisable")
 
 
 def write_report(doc: ReportDocument, fmt: str) -> bytes:
     """Serialize a report deterministically; fmt is "json" or "csv"."""
     if fmt == "json":
-        body = {"schema_version": doc.schema_version}
-        body.update(_jsonable(doc.payload))
-        return (json.dumps(body, indent=2) + "\n").encode()
+        body = {"schema_version": doc.schema_version, **doc.payload}
+        return (json.dumps(body, indent=2, default=_json_default) + "\n").encode()
     if fmt == "csv":
         records = doc.payload.get("records")
         if records is None:

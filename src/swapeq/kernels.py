@@ -17,6 +17,7 @@ from ._kernels_py import (
     eccentricity,
     first_improving_swap,
     is_connected,
+    reach,
     scan_masks,
     sum_dist,
     swapped_rows,

@@ -92,22 +92,10 @@ def decompose(g: Graph) -> Decomposition:
     seen = 0
     comps: list[frozenset[int]] = []
     for s in range(n):
-        if seen >> s & 1:
-            continue
-        frontier = 1 << s
-        comp = frontier
-        while frontier:
-            nxt = 0
-            f = frontier
-            while f:
-                bb = f & -f
-                nxt |= rows[bb.bit_length() - 1]
-                f ^= bb
-            nxt &= ~comp
-            comp |= nxt
-            frontier = nxt
-        seen |= comp
-        comps.append(frozenset(v for v in range(n) if comp >> v & 1))
+        if not seen >> s & 1:
+            comp = kernels.reach(rows, s)[0]
+            seen |= comp
+            comps.append(frozenset(v for v in range(n) if comp >> v & 1))
 
     return Decomposition(
         bridges=tuple(sorted(bridge_set)),
@@ -127,19 +115,8 @@ def pendant_world(g: Graph, component, u: int):
     comp = frozenset(component)
     if u not in comp:
         raise GraphError(f"vertex {u} not in the component")
-    allowed = (((1 << g.n) - 1) ^ sum(1 << v for v in comp)) | (1 << u)
-    frontier = 1 << u
-    world = frontier
-    while frontier:
-        nxt = 0
-        f = frontier
-        while f:
-            b = f & -f
-            nxt |= g.adj[b.bit_length() - 1]
-            f ^= b
-        nxt &= allowed & ~world
-        world |= nxt
-        frontier = nxt
+    # reach always keeps its source, so u is the one component vertex in W(u)
+    world = kernels.reach(g.adj, u, ~sum(1 << v for v in comp))[0]
     return frozenset(v for v in range(g.n) if world >> v & 1)
 
 
@@ -202,10 +179,9 @@ def classify(g: Graph) -> Classification:
     star = tree and any(g.degree(v) == n - 1 for v in range(n))
 
     krs = None
-    verdict = is_bipartite(g)
-    if verdict.bipartite and n >= 2:
-        a, b = verdict.sides
-        r, s = sorted((len(a), len(b)))
+    side = kernels.bipartite_side(g.adj)
+    if side >= 0 and n >= 2:
+        r, s = sorted((side.bit_count(), n - side.bit_count()))
         if r >= 1 and m == r * s:
             krs = (r, s)
 

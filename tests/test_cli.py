@@ -178,6 +178,17 @@ class TestDynamics:
                     "--max-steps", "0"]) == 0
         assert "outcome: step_limit" in capsys.readouterr().out
 
+    def test_connectivity_tested_per_request(self, tmp_path, capsys, monkeypatch):
+        # the CLI's own test and run_dynamics's, not one more per step
+        from swapeq import kernels
+
+        calls = []
+        real = kernels.is_connected
+        monkeypatch.setattr(kernels, "is_connected", lambda adj: calls.append(adj) or real(adj))
+        assert run(["dynamics", write_edges(tmp_path, path(6))]) == 0
+        assert "outcome: converged after 3 moves" in capsys.readouterr().out
+        assert calls == [path(6).adj] * 2
+
     def test_negative_max_steps(self, tmp_path, capsys):
         assert run(["dynamics", write_edges(tmp_path, path(4)),
                     "--max-steps", "-1"]) == 2

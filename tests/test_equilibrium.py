@@ -15,6 +15,7 @@ from swapeq.equilibrium import (
 )
 from swapeq.families import complete, complete_bipartite, cycle, path, star
 from swapeq.graph import INF, GraphError, build_graph, graph_from_adj
+from swapeq.structure import DisconnectedError
 from swapeq.survey import enumerate_labeled_connected
 
 import oracle
@@ -210,3 +211,27 @@ class TestDynamics:
             trace = run_dynamics(g, 200)
             if trace.outcome == "converged":
                 assert is_equilibrium(trace.states[-1]).is_equilibrium
+
+    def test_connectivity_tested_once(self, monkeypatch):
+        # an improving swap keeps the agent connected to everybody, so only
+        # the start graph needs the test; best_response_step keeps its own
+        calls = []
+        real = kernels.is_connected
+        monkeypatch.setattr(kernels, "is_connected", lambda adj: calls.append(adj) or real(adj))
+        trace = run_dynamics(path(6), 50)
+        assert len(trace.moves) >= 2 and calls == [path(6).adj]
+        calls.clear()
+        best_response_step(path(6))
+        assert calls == [path(6).adj]
+
+
+@pytest.mark.parametrize("g", [build_graph(4, [(0, 1), (2, 3)]), build_graph(3, [])],
+                         ids=["two-edges", "edgeless"])
+def test_disconnected_rejected(g):
+    with pytest.raises(DisconnectedError):
+        is_equilibrium(g)
+    with pytest.raises(DisconnectedError):
+        best_response_step(g)
+    for step_limit in (0, 50):
+        with pytest.raises(DisconnectedError):
+            run_dynamics(g, step_limit)

@@ -1,11 +1,12 @@
 import json
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
 from swapeq import kernels
 from swapeq.families import complete, cycle, star
-from swapeq.graph import graph_from_adj
+from swapeq.graph import INF, graph_from_adj
 from swapeq.io import (
     MalformedHeaderError,
     EdgeListParseError,
@@ -147,6 +148,14 @@ class TestReports:
         assert write_report(doc, "json") == write_report(doc, "json")
         body = json.loads(write_report(doc, "json"))
         assert body["schema_version"] == "1"
+
+    def test_json_exact_values(self):
+        payload = {"shift": Fraction(-3, 4), "rows": [(1, INF)], "comp": frozenset({3, 1, 2})}
+        body = json.loads(write_report(ReportDocument("1", payload), "json"))
+        assert body == {"schema_version": "1", "shift": "-3/4", "rows": [[1, "INF"]],
+                        "comp": [1, 2, 3]}
+        with pytest.raises(TypeError, match="set is not JSON serialisable"):
+            write_report(ReportDocument("1", {"bad": {1, 2}}), "json")
 
     def test_csv_columns(self):
         rec = {

@@ -1,6 +1,7 @@
 """Properties of the package source itself."""
 
 import ast
+import re
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "swapeq"
@@ -15,3 +16,23 @@ def test_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert sorted(PACKAGE.glob("*.py")) and found == []
+
+
+# one frontier expansion: ``x |= rows[b.bit_length() - 1]``
+FRONTIER_STEP = re.compile(r"\w+ \|= [\w.]+\[\w+\.bit_length\(\) - 1\]")
+
+
+def test_one_bfs_loop():
+    # every BFS goes through _kernels_py.reach, except the loops that compute
+    # something else: a distance vector, the per-level odd-edge test and the
+    # radius-2 ball
+    found = {
+        (path.name, fn.name)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for fn in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(fn, ast.FunctionDef)
+        for node in ast.walk(fn)
+        if isinstance(node, ast.AugAssign) and FRONTIER_STEP.fullmatch(ast.unparse(node))
+    }
+    assert found == {("_kernels_py.py", name) for name in
+                     ("reach", "bfs_dists", "bipartite_side", "_reaches_all_in_two")}
