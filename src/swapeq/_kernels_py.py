@@ -219,24 +219,61 @@ def best_swap(adj):
     return min(swaps, default=None)
 
 
+def mask_to_adj(n, mask):
+    """Rows of a row-major edge mask; row i's higher neighbours are its next n-1-i bits."""
+    adj = [0] * n
+    full = (1 << n) - 1
+    for i in range(n - 1):
+        hi = mask << (i + 1) & full
+        mask >>= n - 1 - i
+        adj[i] |= hi
+        while hi:
+            b = hi & -hi
+            adj[b.bit_length() - 1] |= 1 << i
+            hi ^= b
+    return tuple(adj)
+
+
+def adj_to_mask(adj):
+    """Row-major edge mask of adjacency rows; inverse of mask_to_adj."""
+    n = len(adj)
+    mask = 0
+    for i in range(n - 1, -1, -1):
+        mask = mask << (n - 1 - i) | adj[i] >> (i + 1)
+    return mask
+
+
+def triangle_rows(n, bits):
+    """Rows of a column-major upper triangle of n(n-1)/2 bits."""
+    rows = [0] * n
+    k = n * (n - 1) // 2
+    for j in range(1, n):
+        for i in range(j):
+            k -= 1
+            if bits >> k & 1:
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
+    return tuple(rows)
+
+
+def triangle_bits(adj):
+    """Column-major upper triangle of adjacency rows; inverse of triangle_rows."""
+    bits = 0
+    for j in range(1, len(adj)):
+        for i in range(j):
+            bits = bits << 1 | (adj[j] >> i & 1)
+    return bits
+
+
 def scan_masks(n, lo, hi):
     """Survey scan over edge masks in [lo, hi).
 
     Yields (mask, bipartite, is_equilibrium, witness) for each connected
-    mask, in ascending mask order.  Bit k of a mask is the k-th vertex pair
-    in row-major order (0,1), (0,2), ..., (n-2,n-1).
+    mask, in ascending mask order; masks are decoded by mask_to_adj.
     """
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     out = []
     for mask in range(lo, hi):
-        adj = [0] * n
-        m = mask
-        while m:
-            b = m & -m
-            i, j = pairs[b.bit_length() - 1]
-            m ^= b
-            adj[i] |= 1 << j
-            adj[j] |= 1 << i
+        adj = mask_to_adj(n, mask)
         if not is_connected(adj):
             continue
         bip = bipartite_side(adj) >= 0

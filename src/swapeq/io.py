@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any
 
+from . import kernels
 from .graph import Graph, GraphError, _Infinity, build_graph
 
 GRAPH6_PREFIX = ">>graph6<<"
@@ -90,18 +91,11 @@ def parse_graph6(text: str) -> Graph:
         if not 63 <= c <= 126:
             raise TruncatedPayloadError(f"payload byte {c} outside graph6 range")
         bits = (bits << 6) | (c - 63)
-    nbits = 6 * need
-    npairs = n * (n - 1) // 2
-    if need and bits & ((1 << (nbits - npairs)) - 1):
+    pad = 6 * need - n * (n - 1) // 2
+    if bits & ((1 << pad) - 1):
         raise TrailingGarbageError("nonzero padding bits in final payload byte")
-    edges = []
-    k = nbits - 1  # index of the current bit, MSB first
-    for j in range(1, n):
-        for i in range(j):
-            if bits >> k & 1:
-                edges.append((i, j))
-            k -= 1
-    return build_graph(n, edges)
+    # triangle bits cannot spell a self-loop, a duplicate or an out-of-range edge
+    return Graph(n, kernels.triangle_rows(n, bits >> pad))
 
 
 def encode_graph6(g: Graph) -> str:
@@ -109,19 +103,10 @@ def encode_graph6(g: Graph) -> str:
     n = g.n
     if n > GRAPH6_MAX_N:
         raise GraphError(f"graph6 single-byte headers stop at n={GRAPH6_MAX_N}")
-    bits = []
-    for j in range(1, n):
-        for i in range(j):
-            bits.append(1 if g.has_edge(i, j) else 0)
-    while len(bits) % 6:
-        bits.append(0)
-    out = [chr(63 + n)]
-    for k in range(0, len(bits), 6):
-        group = 0
-        for b in bits[k:k + 6]:
-            group = (group << 1) | b
-        out.append(chr(63 + group))
-    return "".join(out)
+    need = _payload_len(n)
+    bits = kernels.triangle_bits(g.adj) << (6 * need - n * (n - 1) // 2)
+    return chr(63 + n) + "".join(
+        chr(63 + (bits >> 6 * k & 63)) for k in range(need - 1, -1, -1))
 
 
 def parse_edge_list(text: str) -> Graph:
@@ -156,20 +141,17 @@ def parse_edge_list(text: str) -> Graph:
         edges.append((u, v))
     if len(edges) != m:
         raise EdgeListParseError(f"expected {m} edge lines, found {len(edges)}")
+    line = 1  # build_graph checks n, then edge k (on line k + 2) in order
+
+    def numbered():
+        nonlocal line
+        for line, e in enumerate(edges, 2):
+            yield e
+
     try:
-        return build_graph(n, edges)
+        return build_graph(n, numbered())
     except GraphError as err:
-        # locate the offending line for the message
-        try:
-            build_graph(n, [])
-        except GraphError:
-            raise EdgeListParseError(f"line 1: {err}") from err
-        for k in range(len(edges)):
-            try:
-                build_graph(n, edges[:k + 1])
-            except GraphError:
-                raise EdgeListParseError(f"line {k + 2}: {err}") from err
-        raise EdgeListParseError(str(err)) from err
+        raise EdgeListParseError(f"line {line}: {err}") from err
 
 
 @dataclass(frozen=True)

@@ -1,15 +1,23 @@
-"""The bitset kernels plus shared mask helpers.
+"""The bitset kernels and the two bit layouts graphs are packed in.
 
 The kernels are defined in ``_kernels_py`` and re-exported here.  Callers
 look them up in this module, so it is the kernel layer's boundary: the
 span tracer in ``perfbench`` wraps the names here and leaves the calls the
 kernels make among themselves unwrapped.
-"""
 
-from __future__ import annotations
+Each bit layout has one decoder and one encoder, defined in ``_kernels_py``:
+
+- row-major edge masks, the survey's enumeration: bit k (low bit first) is
+  the k-th pair of (0,1), (0,2), ..., (0,n-1), (1,2), ..., (n-2,n-1);
+  ``mask_to_adj`` and ``adj_to_mask``;
+- column-major upper triangles, graph6 payloads and canonical forms: the
+  pairs run (0,1), (0,2), (1,2), (0,3), ..., (n-2,n-1), the first as the
+  high bit; ``triangle_rows`` and ``triangle_bits``.
+"""
 
 from ._kernels_py import (
     BACKEND,
+    adj_to_mask,
     best_swap,
     bfs_dists,
     bipartite_side,
@@ -17,34 +25,12 @@ from ._kernels_py import (
     eccentricity,
     first_improving_swap,
     is_connected,
+    mask_to_adj,
     reach,
     scan_masks,
     sum_dist,
     swapped_rows,
     swapped_sum_dist,
+    triangle_bits,
+    triangle_rows,
 )
-
-
-def mask_to_adj(n: int, mask: int) -> tuple[int, ...]:
-    """Expand a row-major edge mask into adjacency rows."""
-    adj = [0] * n
-    k = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            if mask >> k & 1:
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
-            k += 1
-    return tuple(adj)
-
-
-def adj_to_mask(adj) -> int:
-    n = len(adj)
-    mask = 0
-    k = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            if adj[i] >> j & 1:
-                mask |= 1 << k
-            k += 1
-    return mask

@@ -231,15 +231,7 @@ class CanonicalForm:
 
     def graph(self) -> Graph:
         """The class representative whose upper triangle these bits spell."""
-        rows = [0] * self.n
-        pos = self.n * (self.n - 1) // 2
-        for j in range(1, self.n):
-            for i in range(j):
-                pos -= 1
-                if self.bits >> pos & 1:
-                    rows[i] |= 1 << j
-                    rows[j] |= 1 << i
-        return graph_from_adj(self.n, tuple(rows))
+        return graph_from_adj(self.n, kernels.triangle_rows(self.n, self.bits))
 
 
 def _canonical_bits(g: Graph) -> int:
@@ -426,20 +418,23 @@ def _tasks(config: SurveyConfig):
 
 def run_survey(config: SurveyConfig) -> SurveyResult:
     """Run the sweep; results are independent of the worker count."""
-    for c in config.claims:
+    for k, c in enumerate(config.claims):
         if c not in _CLAIMS:
             raise SurveyConfigError(f"unknown claim {c!r}")
+        if c in config.claims[:k]:
+            raise SurveyConfigError(f"duplicate claim {c!r}")
     if config.workers < 1:
         raise SurveyConfigError(f"workers must be >= 1, got {config.workers}")
     if config.n is not None and config.graph6_lines is not None:
         raise SurveyConfigError("survey takes either n or a graph6 stream, not both")
     tasks = list(_tasks(config))
-    parallel = config.workers > 1 and len(tasks) > 1
+    workers = min(config.workers, len(tasks))  # never more processes than tasks
+    parallel = workers > 1
 
     summary = SurveySummary(claim_counts={c: [0, 0, 0] for c in config.claims})
     records: list | None = [] if config.keep_records else None
     classes: Counter = Counter()
-    with multiprocessing.Pool(config.workers) if parallel else contextlib.nullcontext() as pool:
+    with multiprocessing.Pool(workers) if parallel else contextlib.nullcontext() as pool:
         parts = pool.imap(_process_chunk, tasks) if parallel else map(_process_chunk, tasks)
         for i, (graphs, equilibria, counts, violations, forms, recs) in enumerate(parts, 1):
             summary.graphs += graphs

@@ -62,6 +62,16 @@ class TestCheck:
     def test_missing_file(self):
         assert run(["check", "/nonexistent/file.edges"]) == 2
 
+    def test_connectivity_tested_once(self, tmp_path, capsys, monkeypatch):
+        # is_equilibrium's own test; the CLI adds none
+        from swapeq import kernels
+
+        calls = []
+        real = kernels.is_connected
+        monkeypatch.setattr(kernels, "is_connected", lambda adj: calls.append(adj) or real(adj))
+        assert run(["check", write_edges(tmp_path, path(4))]) == 1
+        assert calls == [path(4).adj]
+
     def test_g6_autodetect(self, tmp_path):
         assert run(["check", write_g6(tmp_path, [cycle(4)])]) == 0
 
@@ -162,6 +172,18 @@ class TestTheory:
                     "--component", "3"]) == 2
 
 
+@pytest.mark.parametrize("command", ["check", "theory", "dynamics"])
+@pytest.mark.parametrize("text", ["4 2\n0 1\n2 3\n", "3 0\n"], ids=["two-edges", "edgeless"])
+def test_disconnected_input(tmp_path, capsys, command, text):
+    # the library raises DisconnectedError; the CLI names the command
+    p = tmp_path / "g.edges"
+    p.write_text(text)
+    assert run([command, str(p)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {command} requires a connected graph\n"
+    assert captured.out == ""
+
+
 class TestDynamics:
     def test_p4(self, tmp_path, capsys):
         assert run(["dynamics", write_edges(tmp_path, path(4))]) == 0
@@ -179,7 +201,7 @@ class TestDynamics:
         assert "outcome: step_limit" in capsys.readouterr().out
 
     def test_connectivity_tested_per_request(self, tmp_path, capsys, monkeypatch):
-        # the CLI's own test and run_dynamics's, not one more per step
+        # run_dynamics's test of the start graph: none by the CLI, none per step
         from swapeq import kernels
 
         calls = []
@@ -187,7 +209,7 @@ class TestDynamics:
         monkeypatch.setattr(kernels, "is_connected", lambda adj: calls.append(adj) or real(adj))
         assert run(["dynamics", write_edges(tmp_path, path(6))]) == 0
         assert "outcome: converged after 3 moves" in capsys.readouterr().out
-        assert calls == [path(6).adj] * 2
+        assert calls == [path(6).adj]
 
     def test_negative_max_steps(self, tmp_path, capsys):
         assert run(["dynamics", write_edges(tmp_path, path(4)),
@@ -229,6 +251,12 @@ class TestSurvey:
 
     def test_unknown_claim(self):
         assert run(["survey", "--n", "4", "--claims", "bogus"]) == 2
+
+    def test_duplicate_claim(self, capsys):
+        assert run(["survey", "--n", "4", "--claims", "tree_star,tree_star"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: duplicate claim 'tree_star'\n"
+        assert captured.out == ""
 
     def test_g6_stream_krs(self, tmp_path, capsys):
         graphs = [complete_bipartite(r, s)

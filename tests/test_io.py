@@ -1,10 +1,12 @@
 import json
+import random
 from fractions import Fraction
 
+import networkx as nx
 import pytest
 from hypothesis import given, strategies as st
 
-from swapeq import kernels
+from swapeq import io, kernels
 from swapeq.families import complete, cycle, star
 from swapeq.graph import INF, graph_from_adj
 from swapeq.io import (
@@ -98,11 +100,39 @@ class TestGraph6:
         with pytest.raises(MalformedHeaderError):
             parse_graph6(" ")
 
+    @pytest.mark.parametrize("case", [1, 2, 3, 4, 5, "n6-sample", "n7-sample", "n8-sample"])
+    def test_codec_matches_networkx(self, case):
+        # every labeled graph for n <= 5, 200 seeded graphs for n = 6..8
+        if isinstance(case, int):
+            n, masks = case, range(1 << (case * (case - 1) // 2))
+        else:
+            n = int(case[1])
+            rng = random.Random(20261021 + n)
+            masks = [rng.getrandbits(n * (n - 1) // 2) for _ in range(200)]
+        for mask in masks:
+            g = graph_from_adj(n, kernels.mask_to_adj(n, mask))
+            G = nx.Graph()
+            G.add_nodes_from(range(n))
+            G.add_edges_from(g.edges)
+            text = nx.to_graph6_bytes(G, header=False).decode().strip()
+            assert encode_graph6(g) == text
+            assert parse_graph6(text) == g
+            ref = nx.from_graph6_bytes(text.encode())
+            assert sorted(ref.nodes()) == list(range(n))
+            assert {tuple(sorted(e)) for e in ref.edges()} == set(g.edges)
+
     @given(st.integers(1, 8), st.data())
     def test_roundtrip_random(self, n, data):
         mask = data.draw(st.integers(0, (1 << (n * (n - 1) // 2)) - 1))
         g = graph_from_adj(n, kernels.mask_to_adj(n, mask))
         assert parse_graph6(encode_graph6(g)) == g
+
+
+def edge_list_2000(k, bad):
+    """2,000 distinct edges on 64 vertices, with edge k (line k + 2) set to bad."""
+    edges = [(i, j) for i in range(64) for j in range(i + 1, 64)][:2000]
+    edges[k] = bad
+    return "64 2000\n" + "\n".join(f"{u} {v}" for u, v in edges)
 
 
 class TestEdgeList:
@@ -135,6 +165,23 @@ class TestEdgeList:
     def test_duplicate_edge_line(self):
         with pytest.raises(EdgeListParseError, match="line 3.*duplicate"):
             parse_edge_list("3 2\n0 1\n1 0")
+
+    @pytest.mark.parametrize("text,message", [
+        ("0 0", "line 1: vertex count must be a positive int, got 0"),
+        ("65 0", "line 1: at most 64 vertices supported, got 65"),
+        ("3 1\n0 0", "line 2: self-loop edge (0, 0)"),
+        (edge_list_2000(999, (0, 1)), "line 1001: duplicate edge (0, 1)"),
+        (edge_list_2000(1999, (0, 64)), "line 2001: edge (0, 64) outside 0..63"),
+    ], ids=["bad-n", "n-over-64", "line-2", "middle-line", "last-line"])
+    def test_error_line_pinned(self, monkeypatch, text, message):
+        # one build_graph pass names the line; no prefix is rebuilt
+        calls = []
+        real = io.build_graph
+        monkeypatch.setattr(io, "build_graph", lambda n, e: calls.append(n) or real(n, e))
+        with pytest.raises(EdgeListParseError) as err:
+            parse_edge_list(text)
+        assert str(err.value) == message
+        assert len(calls) == 1
 
     def test_star_roundtrip(self):
         g = star(4)

@@ -2,7 +2,8 @@
 
 Every labeled graph with n <= 5 is checked, plus seeded samples at n = 6
 and n = 7 and the six n = 8 equilibria of diameter 3.  Bipartiteness is
-checked against networkx.
+checked against networkx, and the two bit-layout codecs against pair-list
+expansions.
 """
 
 import random
@@ -17,6 +18,7 @@ from swapeq.equilibrium import Deviation, is_equilibrium
 from swapeq.families import complete, complete_bipartite, path
 from swapeq.graph import INF, build_graph, graph_from_adj
 from swapeq.io import parse_graph6
+from swapeq.survey import canonical_form
 
 import oracle
 
@@ -254,3 +256,49 @@ def test_agent_minima_scanned_on_read(g, monkeypatch):
         expected[u] = min(expected.get(u, d), d)
     assert dict(verdict.per_agent_min) == expected
     assert set(agents) == set(expected)
+
+
+# -- the two bit layouts --------------------------------------------------------
+
+def codec_masks(case):
+    """(n, row-major masks): every mask for an int case, 300 seeded G(n, p)
+    masks for "n<k>-sample"."""
+    if isinstance(case, int):
+        return case, range(1 << (case * (case - 1) // 2))
+    n = int(case[1])
+    rng = random.Random(20261020 + n)
+    return n, [random_mask(rng, n * (n - 1) // 2) for _ in range(300)]
+
+
+def column_major(n, edges):
+    """Triangle bits by pair list: (0,1), (0,2), (1,2), (0,3), ..., first pair high."""
+    pairs = [(i, j) for j in range(1, n) for i in range(j)]
+    edges = set(edges)
+    return sum(1 << (len(pairs) - 1 - b) for b, p in enumerate(pairs) if p in edges)
+
+
+@pytest.mark.parametrize("case", [1, 2, 3, 4, 5, 6, "n7-sample", "n8-sample"])
+def test_mask_codec(case):
+    n, masks = codec_masks(case)
+    for mask in masks:
+        _, adj, _ = graph_at(n, mask)
+        assert kernels.mask_to_adj(n, mask) == adj
+        assert kernels.adj_to_mask(adj) == mask
+
+
+@pytest.mark.parametrize("case", [1, 2, 3, 4, 5, "n6-sample", "n7-sample", "n8-sample"])
+def test_triangle_codec(case):
+    n, masks = codec_masks(case)
+    for mask in masks:
+        _, adj, edges = graph_at(n, mask)
+        bits = column_major(n, edges)
+        assert kernels.triangle_bits(adj) == bits
+        assert kernels.triangle_rows(n, bits) == adj
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_canonical_form_bits(n):
+    # a canonical form's bits are its representative's triangle
+    for mask in range(1 << (n * (n - 1) // 2)):
+        form = canonical_form(graph_from_adj(n, kernels.mask_to_adj(n, mask)))
+        assert kernels.triangle_bits(form.graph().adj) == form.bits

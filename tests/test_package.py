@@ -36,3 +36,21 @@ def test_one_bfs_loop():
     }
     assert found == {("_kernels_py.py", name) for name in
                      ("reach", "bfs_dists", "bipartite_side", "_reaches_all_in_two")}
+
+
+def test_one_pair_walk():
+    # the column-major pair walk, ``for i in range(j)`` inside
+    # ``for j in range(1, ...)``, is the graph6 and canonical-form layout;
+    # only its decoder and encoder in the kernel layer spell it out
+    found = {
+        (path.name, fn.name)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for fn in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(fn, ast.FunctionDef)
+        for outer in ast.walk(fn)
+        if isinstance(outer, ast.For) and isinstance(outer.target, ast.Name)
+        and re.fullmatch(r"range\(1, .+\)", ast.unparse(outer.iter))
+        for inner in ast.walk(outer)
+        if isinstance(inner, ast.For) and ast.unparse(inner.iter) == f"range({outer.target.id})"
+    }
+    assert found == {("_kernels_py.py", "triangle_rows"), ("_kernels_py.py", "triangle_bits")}

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import random
+import types
 
 import networkx as nx
 import pytest
@@ -234,6 +235,8 @@ class TestRunSurvey:
             run_survey(SurveyConfig())
         with pytest.raises(SurveyConfigError):
             run_survey(SurveyConfig(n=4, claims=("nope",)))
+        with pytest.raises(SurveyConfigError, match="duplicate claim 'tree_star'"):
+            run_survey(SurveyConfig(n=4, claims=("tree_star", "tree_star")))
         for workers in (0, -2):
             with pytest.raises(SurveyConfigError):
                 run_survey(SurveyConfig(n=4, workers=workers))
@@ -348,6 +351,30 @@ class TestVerifyClaims:
 
 
 class TestDeterminism:
+    @pytest.mark.parametrize("n,workers,pools", [(6, 5000, [2]), (6, 1, []), (5, 8, [])])
+    def test_pool_sized_by_tasks(self, monkeypatch, n, workers, pools):
+        # a stand-in Pool records its size and runs the tasks here, so no
+        # process is started; n=6 is 2 chunks of masks, n=5 one
+        sizes = []
+
+        class StandInPool:
+            def __init__(self, processes):
+                sizes.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def imap(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(survey, "multiprocessing", types.SimpleNamespace(Pool=StandInPool))
+        result = run_survey(SurveyConfig(n=n, claims=(), keep_records=False, workers=workers))
+        assert sizes == pools
+        assert result.summary.graphs == {5: 728, 6: 26704}[n]
+
     def test_workers_identical_n4(self):
         a = run_survey(SurveyConfig(n=4, workers=1, dedup=True))
         b = run_survey(SurveyConfig(n=4, workers=3, dedup=True))
