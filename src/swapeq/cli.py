@@ -13,7 +13,7 @@ from pathlib import Path
 
 from . import __version__, kernels
 from .equilibrium import is_equilibrium, run_dynamics
-from .graph import Graph, GraphError, diameter
+from .graph import Graph, diameter
 from .io import (
     ReportDocument,
     encode_graph6,
@@ -25,13 +25,11 @@ from .structure import DisconnectedError, classify, decompose, is_bipartite, pen
 from .survey import (
     CLAIM_NAMES,
     SurveyConfig,
-    SurveyConfigError,
     run_survey,
     survey_report,
 )
 from .theory import (
     aggregate_swaps,
-    check_inequalities,
     component_diameter,
     layer_profile,
     strict_witness,
@@ -40,10 +38,8 @@ from .theory import (
 USAGE_ERROR = 2
 
 
-class CliError(Exception):
-    def __init__(self, message: str, code: int = USAGE_ERROR):
-        super().__init__(message)
-        self.code = code
+class CliError(ValueError):
+    """A usage or input error: run() prints ``error: <message>``, exit 2."""
 
 
 def _load_graph(path: str, fmt: str | None) -> Graph:
@@ -58,14 +54,17 @@ def _load_graph(path: str, fmt: str | None) -> Graph:
             first = next((ln for ln in text.splitlines() if ln.strip()), "")
             return parse_graph6(first)
         return parse_edge_list(text)
-    except (GraphError, ValueError) as err:
+    except ValueError as err:
         raise CliError(f"parse error in {path}: {err}") from err
 
 
 def _emit(doc: ReportDocument, fmt: str, out: str | None) -> None:
     data = write_report(doc, fmt)
     if out:
-        Path(out).write_bytes(data)
+        try:
+            Path(out).write_bytes(data)
+        except OSError as err:
+            raise CliError(f"cannot write {out}: {err}") from err
     else:
         sys.stdout.write(data.decode())
         sys.stdout.flush()
@@ -179,7 +178,7 @@ def _cmd_theory(args) -> int:
     if bip:
         payload["inequalities"] = []
         for w in observers:
-            rep = check_inequalities(g, comp, w, agg, profiles[w])
+            rep = profiles[w].inequalities(agg)
             payload["inequalities"].append({
                 "observer": w,
                 "down_mass": rep.down_mass,
@@ -240,10 +239,7 @@ def _cmd_survey(args) -> int:
         workers=args.workers,
         progress=args.progress or args.n == 8,
     )
-    try:
-        result = run_survey(config)
-    except (SurveyConfigError, GraphError, ValueError) as err:
-        raise CliError(str(err)) from err
+    result = run_survey(config)
     _emit(survey_report(result, config), args.format, args.out)
     return 0 if not result.summary.violations else 1
 
@@ -307,14 +303,11 @@ def run(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else USAGE_ERROR
     try:
         return args.func(args)
-    except CliError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return err.code
     except DisconnectedError:
         # check, theory and dynamics leave the connectivity test to the library
         print(f"error: {args.command} requires a connected graph", file=sys.stderr)
         return USAGE_ERROR
-    except (GraphError, ValueError) as err:
+    except ValueError as err:  # CliError and the library's input errors
         print(f"error: {err}", file=sys.stderr)
         return USAGE_ERROR
 

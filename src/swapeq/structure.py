@@ -111,7 +111,10 @@ def block_vertices(block: frozenset[Edge]) -> frozenset[int]:
 
 def pendant_world(g: Graph, component, u: int):
     """W(u): the connected piece containing u once the rest of the component
-    is deleted — u plus everything hanging off the component at u."""
+    is deleted — u plus everything hanging off the component at u.
+
+    The flood expands only outside the component, so its first level is
+    g.adj[u] & ~mask(component): W(u) is {u} exactly when that AND is 0."""
     comp = frozenset(component)
     if u not in comp:
         raise GraphError(f"vertex {u} not in the component")

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import contextlib
 import multiprocessing
+import os
 import sys
 from collections import Counter
 from dataclasses import dataclass, field
@@ -428,7 +429,8 @@ def run_survey(config: SurveyConfig) -> SurveyResult:
     if config.n is not None and config.graph6_lines is not None:
         raise SurveyConfigError("survey takes either n or a graph6 stream, not both")
     tasks = list(_tasks(config))
-    workers = min(config.workers, len(tasks))  # never more processes than tasks
+    # never more processes than tasks or CPUs
+    workers = min(config.workers, len(tasks), os.cpu_count() or 1)
     parallel = workers > 1
 
     summary = SurveySummary(claim_counts={c: [0, 0, 0] for c in config.claims})

@@ -82,6 +82,48 @@ class LayerProfile:
         num = up - down - 1 if len(self.closer[agent]) == 1 else -down
         return Fraction(num, down + up - 1)
 
+    def inequalities(self, aggregate: SwapAggregate) -> InequalityReport:
+        """check_inequalities for this observer, given the component's
+        aggregate_swaps.  The graph must be bipartite: unlike
+        check_inequalities, this checks only that the aggregate is this
+        component's."""
+        if aggregate.component != self.component:
+            raise ComponentError("aggregate belongs to another component")
+        degs = {u: len(self.closer[u]) + len(self.farther[u]) for u in self.component}
+
+        down_mass = Fraction(0)
+        for v in self.mixed:
+            down_mass += Fraction(len(self.closer[v]) * len(self.farther[v]), degs[v] - 1)
+        z_count = len(self.mixed)
+
+        cases = []
+        up_mass = Fraction(0)
+        for u in sorted(self.component):
+            if len(self.closer[u]) != 1:
+                continue
+            x = next(iter(self.closer[u]))
+            ratio = Fraction(len(self.farther[x]) - 1, degs[x] - 1)
+            up_mass += ratio
+            cases.append(RatioCase(u, x, ratio, ratio == 1, x == self.entry))
+        single_down_count = len(cases)
+
+        observer_total = aggregate.per_observer[self.observer]
+        bound = Fraction(single_down_count - z_count)
+        return InequalityReport(
+            observer=self.observer,
+            down_mass=down_mass,
+            z_count=z_count,
+            down_tight=down_mass == z_count,
+            ratio_cases=tuple(cases),
+            up_mass=up_mass,
+            single_down_count=single_down_count,
+            up_tight=up_mass == single_down_count,
+            formula_total=up_mass - down_mass,
+            observer_total=observer_total,
+            bound=bound,
+            final_bound_holds=observer_total <= bound <= 0,
+        )
+
 
 def layer_profile(g: Graph, component, w: int) -> LayerProfile:
     comp = _validate_tecc(g, component)
@@ -268,64 +310,16 @@ class InequalityReport:
     final_bound_holds: bool
 
 
-def check_inequalities(
-    g: Graph,
-    component,
-    w: int,
-    aggregate: SwapAggregate | None = None,
-    profile: LayerProfile | None = None,
-) -> InequalityReport:
+def check_inequalities(g: Graph, component, w: int) -> InequalityReport:
     """Evaluate both sides of every inequality in the nonpositivity argument.
 
-    aggregate and profile, when given, must be aggregate_swaps(g, component)
-    and layer_profile(g, component, w) of this graph; with a profile the
-    bipartite test is the caller's.
+    Validates its input: g must be bipartite, component one of its
+    2-edge-connected components and w a vertex.  The report is
+    layer_profile(g, component, w).inequalities(aggregate_swaps(g, component)).
     """
-    prof = profile
-    if prof is None:
-        _require_bipartite(g)
-        prof = layer_profile(g, component, w)
-    elif prof.observer != w or prof.component != frozenset(component):
-        raise ComponentError("profile belongs to another observer or component")
-    comp = prof.component
-    degs = {u: len(prof.closer[u]) + len(prof.farther[u]) for u in comp}
-
-    down_mass = Fraction(0)
-    for v in prof.mixed:
-        down_mass += Fraction(len(prof.closer[v]) * len(prof.farther[v]), degs[v] - 1)
-    z_count = len(prof.mixed)
-
-    cases = []
-    up_mass = Fraction(0)
-    for u in sorted(comp):
-        if len(prof.closer[u]) != 1:
-            continue
-        x = next(iter(prof.closer[u]))
-        ratio = Fraction(len(prof.farther[x]) - 1, degs[x] - 1)
-        up_mass += ratio
-        cases.append(RatioCase(u, x, ratio, ratio == 1, x == prof.entry))
-    single_down_count = len(cases)
-
-    if aggregate is None:
-        aggregate = aggregate_swaps(g, comp)
-    elif aggregate.component != comp:
-        raise ComponentError("aggregate belongs to another component")
-    observer_total = aggregate.per_observer[w]
-    bound = Fraction(single_down_count - z_count)
-    return InequalityReport(
-        observer=w,
-        down_mass=down_mass,
-        z_count=z_count,
-        down_tight=down_mass == z_count,
-        ratio_cases=tuple(cases),
-        up_mass=up_mass,
-        single_down_count=single_down_count,
-        up_tight=up_mass == single_down_count,
-        formula_total=up_mass - down_mass,
-        observer_total=observer_total,
-        bound=bound,
-        final_bound_holds=observer_total <= bound <= 0,
-    )
+    _require_bipartite(g)
+    prof = layer_profile(g, component, w)
+    return prof.inequalities(aggregate_swaps(g, prof.component))
 
 
 @dataclass(frozen=True)
@@ -334,16 +328,22 @@ class StrictWitness:
     shift_total: Fraction  # strictly negative
 
 
+def _diametral(g: Graph, component) -> tuple[int, int | None]:
+    """(diameter, first endpoint in sorted order) of the component, in the
+    graph metric."""
+    members = sorted(frozenset(component))
+    best = (0, members[0] if members else None)
+    for u in members:
+        dv = kernels.bfs_dists(g.adj, u)
+        ecc = max(dv[v] for v in members)
+        if ecc > best[0]:
+            best = (ecc, u)
+    return best
+
+
 def component_diameter(g: Graph, component) -> int:
     """Largest distance between component vertices (graph metric)."""
-    comp = sorted(frozenset(component))
-    best = 0
-    for u in comp:
-        dv = kernels.bfs_dists(g.adj, u)
-        for v in comp:
-            if dv[v] > best:
-                best = dv[v]
-    return best
+    return _diametral(g, component)[0]
 
 
 def strict_witness(
@@ -360,14 +360,7 @@ def strict_witness(
     comp = _validate_tecc(g, component)
     if aggregate is not None and aggregate.component != comp:
         raise ComponentError("aggregate belongs to another component")
-    members = sorted(comp)
-    best = (0, members[0])
-    for u in members:
-        dv = kernels.bfs_dists(g.adj, u)
-        ecc = max(dv[v] for v in members)
-        if ecc > best[0]:
-            best = (ecc, u)
-    diam, endpoint = best
+    diam, endpoint = _diametral(g, comp)
     if diam <= 2:
         return None
     if aggregate is None:
@@ -395,12 +388,10 @@ def single_pendant_condition(g: Graph) -> bool:
     if all(len(t) == 1 for t in dec.tecc):
         raise GraphError("tree input: no cyclic 2-edge-connected component")
     for comp in dec.tecc:
-        nontrivial = 0
-        for u in comp:
-            if pendant_world(g, comp, u) != frozenset({u}):
-                nontrivial += 1
-                if nontrivial > 1:
-                    return False
+        # W(u) is nontrivial exactly when u has a neighbour outside comp
+        outside = ~sum(1 << v for v in comp)
+        if sum(1 for u in comp if g.adj[u] & outside) > 1:
+            return False
     return True
 
 
@@ -409,12 +400,10 @@ def adjacent_cut_condition(g: Graph) -> bool:
     dec = decompose(g)
     cuts = dec.cut_vertices
     for block in dec.bcc:
-        vb = block_vertices(block)
         for a, b in block:
             if a in cuts and b in cuts:
-                wa = pendant_world(g, vb, a)
-                wb = pendant_world(g, vb, b)
-                if len(wa) > 1 and len(wb) > 1:
+                outside = ~sum(1 << v for v in block_vertices(block))
+                if g.adj[a] & outside and g.adj[b] & outside:
                     return False
     return True
 

@@ -164,6 +164,33 @@ class TestTheory:
         assert counts["bipartite_side"] == 2
         assert structure.decompose.cache_info().misses == 1
 
+    @pytest.mark.parametrize("g, bipartite", [(THEORY_PINS["c6_pendant"][0], True),
+                                              (complete(4), False)], ids=["c6-pendant", "k4"])
+    def test_single_observer_filters_all(self, tmp_path, capsys, g, bipartite):
+        # one observer's report is the all-observer report cut down to it
+        p = write_edges(tmp_path, g)
+        assert run(["theory", p, "--observer", "all"]) == 0
+        full = json.loads(capsys.readouterr().out)
+        assert ("inequalities" in full) == bipartite
+        for w in range(g.n):
+            assert run(["theory", p, "--observer", str(w)]) == 0
+            expect = dict(full, shifts=[r for r in full["shifts"] if r["observer"] == w],
+                          per_observer={str(w): full["per_observer"][str(w)]})
+            if bipartite:
+                expect["inequalities"] = [r for r in full["inequalities"] if r["observer"] == w]
+            assert json.loads(capsys.readouterr().out) == expect
+
+    @pytest.mark.parametrize("observer, message", [
+        ("9", "observer 9 out of range"),
+        ("-1", "observer -1 out of range"),
+        ("x", "--observer must be a vertex id or 'all'"),
+    ])
+    def test_bad_observer(self, tmp_path, capsys, observer, message):
+        assert run(["theory", write_edges(tmp_path, cycle(4)), "--observer", observer]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+
     def test_tree_input_fails(self, tmp_path):
         assert run(["theory", write_edges(tmp_path, star(3))]) == 2
 
@@ -219,6 +246,18 @@ class TestDynamics:
         assert captured.out == ""
 
 
+@pytest.mark.parametrize("command", ["survey", "analyze", "theory"])
+def test_unwritable_out(tmp_path, capsys, command):
+    # the write error is a usage error with exit 2, not a traceback
+    out = tmp_path / "missing" / "report.json"
+    source = ["--n", "4"] if command == "survey" else [write_edges(tmp_path, cycle(4))]
+    assert run([command, *source, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"error: cannot write {out}: [Errno 2] No such file or directory: '{out}'\n")
+    assert captured.out == ""
+
+
 class TestSurvey:
     def test_n5_all_claims(self, tmp_path):
         out = tmp_path / "report.json"
@@ -256,6 +295,14 @@ class TestSurvey:
         assert run(["survey", "--n", "4", "--claims", "tree_star,tree_star"]) == 2
         captured = capsys.readouterr()
         assert captured.err == "error: duplicate claim 'tree_star'\n"
+        assert captured.out == ""
+
+    def test_unreadable_g6(self, tmp_path, capsys):
+        missing = tmp_path / "missing.g6"
+        assert run(["survey", "--g6", str(missing)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error: cannot read {missing}: [Errno 2] No such file or directory: '{missing}'\n")
         assert captured.out == ""
 
     def test_g6_stream_krs(self, tmp_path, capsys):

@@ -38,6 +38,21 @@ def test_one_bfs_loop():
                      ("reach", "bfs_dists", "bipartite_side", "_reaches_all_in_two")}
 
 
+def test_pendant_world_callers():
+    # a claim that only asks whether W(u) is {u} tests one AND; the world is
+    # flooded only where its members or its size are read
+    found = {
+        (path.name, fn.name)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for fn in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(fn, ast.FunctionDef)
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] == "pendant_world"
+    }
+    assert found == {("theory.py", "cactus_cycle_report"), ("theory.py", "layer_profile"),
+                     ("cli.py", "_cmd_analyze")}
+
+
 def test_one_pair_walk():
     # the column-major pair walk, ``for i in range(j)`` inside
     # ``for j in range(1, ...)``, is the graph6 and canonical-form layout;

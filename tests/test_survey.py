@@ -351,10 +351,14 @@ class TestVerifyClaims:
 
 
 class TestDeterminism:
-    @pytest.mark.parametrize("n,workers,pools", [(6, 5000, [2]), (6, 1, []), (5, 8, [])])
-    def test_pool_sized_by_tasks(self, monkeypatch, n, workers, pools):
+    @pytest.mark.parametrize("n,workers,cpus,pools", [
+        (6, 5000, 2, [2]), (6, 1, 2, []), (5, 8, 2, []), (6, 5000, 1, []), (6, 5000, None, []),
+    ], ids=["6-5000-pools0", "6-1-pools1", "5-8-pools2", "6-5000-cpus1", "6-5000-cpus-unknown"])
+    def test_pool_sized_by_tasks(self, monkeypatch, n, workers, cpus, pools):
         # a stand-in Pool records its size and runs the tasks here, so no
-        # process is started; n=6 is 2 chunks of masks, n=5 one
+        # process is started; n=6 is 2 chunks of masks, n=5 one; the pool
+        # never outnumbers the CPUs (None: the count is unknown, so one)
+        monkeypatch.setattr(survey.os, "cpu_count", lambda: cpus)
         sizes = []
 
         class StandInPool:

@@ -11,7 +11,7 @@ import pytest
 from swapeq.equilibrium import is_equilibrium
 from swapeq.families import complete, complete_bipartite, cycle, path, star
 from swapeq.graph import GraphError, build_graph
-from swapeq.structure import decompose
+from swapeq.structure import block_vertices, decompose, pendant_world
 from swapeq.survey import enumerate_labeled_connected
 from swapeq.theory import (
     ComponentError,
@@ -220,14 +220,12 @@ class TestInequalities:
                     assert case.tight == case.via_is_entry
 
     def test_given_profile(self):
+        # the profile's method on the component's aggregate is check_inequalities
         g = build_graph(7, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (0, 6)])
         comp = frozenset(range(6))
         agg = aggregate_swaps(g, comp)
         for w in range(g.n):
-            prof = layer_profile(g, comp, w)
-            assert check_inequalities(g, comp, w, agg, prof) == check_inequalities(g, comp, w)
-        with pytest.raises(ComponentError):
-            check_inequalities(g, comp, 1, agg, layer_profile(g, comp, 0))
+            assert layer_profile(g, comp, w).inequalities(agg) == check_inequalities(g, comp, w)
 
     def test_bound_holds_on_sample(self):
         rng = random.Random(12)
@@ -239,7 +237,7 @@ class TestInequalities:
             for comp in cyclic_components(g):
                 agg = aggregate_swaps(g, comp)
                 for w in range(g.n):
-                    rep = check_inequalities(g, comp, w, agg)
+                    rep = layer_profile(g, comp, w).inequalities(agg)
                     assert rep.final_bound_holds
                     assert rep.formula_total == rep.observer_total
                     checked += 1
@@ -288,7 +286,7 @@ class TestStrictWitness:
         with pytest.raises(ComponentError):
             strict_witness(g, second, aggregate_swaps(g, first))
         with pytest.raises(ComponentError):
-            check_inequalities(g, second, 0, aggregate_swaps(g, first))
+            layer_profile(g, second, 0).inequalities(aggregate_swaps(g, first))
 
 
 class TestStructuralConditions:
@@ -316,6 +314,38 @@ class TestStructuralConditions:
         two_triangles = build_graph(
             5, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 2)])
         assert adjacent_cut_condition(two_triangles)
+
+    @pytest.mark.parametrize("n, failures", [
+        (3, (0, 0)), (4, (0, 12)), (5, (60, 240)), (6, (3000, 6480)),
+    ])
+    def test_conditions_match_flooded_worlds(self, n, failures):
+        # both conditions test a world for triviality with one AND; the
+        # reference floods every world with pendant_world and reads its size
+        def single_pendant_by_worlds(g):
+            tecc = decompose(g).tecc
+            return all(sum(pendant_world(g, t, u) != {u} for u in t) <= 1 for t in tecc)
+
+        def adjacent_cut_by_worlds(g):
+            dec = decompose(g)
+            cuts = dec.cut_vertices
+            return not any(
+                len(pendant_world(g, block_vertices(b), x)) > 1
+                and len(pendant_world(g, block_vertices(b), y)) > 1
+                for b in dec.bcc for x, y in b if x in cuts and y in cuts)
+
+        single_fails = adjacent_fails = 0
+        for g in enumerate_labeled_connected(n):
+            if g.m == n - 1:
+                with pytest.raises(GraphError):
+                    single_pendant_condition(g)
+            else:
+                expect = single_pendant_by_worlds(g)
+                assert single_pendant_condition(g) == expect
+                single_fails += not expect
+            expect = adjacent_cut_by_worlds(g)
+            assert adjacent_cut_condition(g) == expect
+            adjacent_fails += not expect
+        assert (single_fails, adjacent_fails) == failures
 
     def test_cactus_cycles(self):
         rep = cactus_cycle_report(cycle(5))
