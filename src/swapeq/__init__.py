@@ -16,9 +16,7 @@ from .graph import (
     build_graph,
     bfs_distances,
     diameter,
-    distance_layer,
     sum_distances,
-    sum_distances_restricted,
 )
 from .kernels import BACKEND as KERNEL_BACKEND
 
@@ -32,8 +30,6 @@ __all__ = [
     "build_graph",
     "bfs_distances",
     "diameter",
-    "distance_layer",
     "sum_distances",
-    "sum_distances_restricted",
     "__version__",
 ]

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import cache
 from pathlib import Path
 
 from . import __version__, kernels
@@ -244,7 +245,9 @@ def _cmd_survey(args) -> int:
     return 0 if not result.summary.violations else 1
 
 
+@cache
 def _parser() -> argparse.ArgumentParser:
+    """The argparse tree, built on the first run() of the process."""
     top = argparse.ArgumentParser(
         prog="swapeq",
         description="Swap-equilibrium analysis of small graphs")

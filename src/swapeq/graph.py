@@ -203,33 +203,8 @@ def sum_distances(g: Graph, u: int):
     return INF if s < 0 else s
 
 
-def sum_distances_restricted(g: Graph, u: int, zs: Iterable[int]):
-    """Sum of d(u, z) over z in zs (u itself contributes 0 if present)."""
-    g.check_vertex(u)
-    raw = kernels.bfs_dists(g.adj, u)
-    total = 0
-    for z in zs:
-        g.check_vertex(z)
-        d = raw[z]
-        if d < 0:
-            return INF
-        total += d
-    return total
-
-
 def diameter(g: Graph):
     """Largest pairwise distance; INF when disconnected."""
     d = kernels.diameter(g.adj)
     return INF if d < 0 else d
 
-
-def distance_layer(g: Graph, subset: Iterable[int], u: int, i: int) -> frozenset[int]:
-    """Vertices of the subset at distance exactly i from u (measured in g)."""
-    g.check_vertex(u)
-    raw = kernels.bfs_dists(g.adj, u)
-    layer = set()
-    for v in subset:
-        g.check_vertex(v)
-        if raw[v] == i:
-            layer.add(v)
-    return frozenset(layer)

@@ -200,10 +200,3 @@ def classify(g: Graph) -> Classification:
 
     return Classification(tree, star, krs, block_graph, cactus)
 
-
-def cycle_lengths(g: Graph) -> tuple[int, ...]:
-    """Sorted lengths of the cycle blocks of a cactus."""
-    cls = classify(g)
-    if not cls.cactus:
-        raise GraphError("cycle_lengths is defined for cactus graphs only")
-    return tuple(sorted(len(b) for b in decompose(g).bcc if len(b) >= 3))

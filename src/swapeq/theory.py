@@ -19,12 +19,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import lcm
 from operator import add
 
 from . import kernels
-from .equilibrium import is_equilibrium
 from .graph import Graph, GraphError
 from .structure import block_vertices, classify, decompose, pendant_world
 
@@ -142,17 +141,6 @@ def layer_profile(g: Graph, component, w: int) -> LayerProfile:
         raise AssertionError("observer must live in the entry's world")
     mixed = frozenset(u for u in comp if closer[u] and farther[u])
     return LayerProfile(comp, w, closer, farther, entry, mixed)
-
-
-def closer_neighbor(g: Graph, component, w: int, u: int) -> int:
-    """The unique H-neighbour of u one step closer to w; error if not unique."""
-    prof = layer_profile(g, component, w)
-    down = prof.closer.get(u)
-    if down is None:
-        raise ComponentError(f"vertex {u} not in the component")
-    if len(down) != 1:
-        raise ComponentError(f"vertex {u} has {len(down)} closer neighbours, not 1")
-    return next(iter(down))
 
 
 def closed_form_shift(g: Graph, component, w: int, agent: int, dropped: int) -> Fraction:
@@ -328,10 +316,12 @@ class StrictWitness:
     shift_total: Fraction  # strictly negative
 
 
-def _diametral(g: Graph, component) -> tuple[int, int | None]:
+@lru_cache(maxsize=2048)
+def _diametral(g: Graph, component: frozenset[int]) -> tuple[int, int | None]:
     """(diameter, first endpoint in sorted order) of the component, in the
-    graph metric."""
-    members = sorted(frozenset(component))
+    graph metric.  Cached: a theory request reads it through both
+    component_diameter and strict_witness."""
+    members = sorted(component)
     best = (0, members[0] if members else None)
     for u in members:
         dv = kernels.bfs_dists(g.adj, u)
@@ -343,7 +333,7 @@ def _diametral(g: Graph, component) -> tuple[int, int | None]:
 
 def component_diameter(g: Graph, component) -> int:
     """Largest distance between component vertices (graph metric)."""
-    return _diametral(g, component)[0]
+    return _diametral(g, frozenset(component))[0]
 
 
 def strict_witness(
@@ -396,16 +386,18 @@ def single_pendant_condition(g: Graph) -> bool:
 
 
 def adjacent_cut_condition(g: Graph) -> bool:
-    """For adjacent cut vertices in a block, at least one world is trivial."""
-    dec = decompose(g)
-    cuts = dec.cut_vertices
-    for block in dec.bcc:
-        for a, b in block:
-            if a in cuts and b in cuts:
-                outside = ~sum(1 << v for v in block_vertices(block))
-                if g.adj[a] & outside and g.adj[b] & outside:
-                    return False
-    return True
+    """No edge joins two cut vertices.
+
+    The claim reads "for adjacent cut vertices a, b of a block B, W(a) or
+    W(b) relative to B is trivial".  Two blocks share at most one vertex,
+    and a vertex in two blocks is a cut vertex (Diestel, Graph Theory,
+    §3.1), so a vertex of B has a neighbour outside B, and hence a
+    nontrivial world, exactly when it is a cut vertex.  Every edge lies in
+    exactly one block, so the claim is one AND per cut vertex against the
+    mask of all cut vertices."""
+    cuts = decompose(g).cut_vertices
+    cut_mask = sum(1 << v for v in cuts)
+    return not any(g.adj[a] & cut_mask for a in cuts)
 
 
 @dataclass(frozen=True)
@@ -429,17 +421,3 @@ def cactus_cycle_report(g: Graph) -> CactusCycleReport:
                 balance_ok = False
     long_ok = sum(1 for c in cycles if len(c) > 3) <= 1
     return CactusCycleReport(max_len_ok, balance_ok, long_ok)
-
-
-@dataclass(frozen=True)
-class KrsVerdict:
-    complete_bipartite: tuple[int, int] | None
-    is_equilibrium: bool
-
-
-def bipartite_characterization(g: Graph) -> KrsVerdict:
-    """Pair the complete-bipartite test with the equilibrium verdict."""
-    _require_bipartite(g)
-    cls = classify(g)
-    verdict = is_equilibrium(g)
-    return KrsVerdict(cls.complete_bipartite, verdict.is_equilibrium)

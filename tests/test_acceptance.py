@@ -16,7 +16,7 @@ import pytest
 
 from swapeq import kernels
 from swapeq.equilibrium import Deviation, is_equilibrium
-from swapeq.families import complete, complete_bipartite, cycle, path, star
+from swapeq.families import complete, complete_bipartite, cycle, path, paw, star
 from swapeq.graph import build_graph
 from swapeq.io import encode_graph6, parse_graph6, write_report
 from swapeq.structure import decompose
@@ -30,10 +30,6 @@ from swapeq.survey import (
 from swapeq.theory import aggregate_swaps, closed_form_shift, simulated_shift, strict_witness
 
 import oracle
-
-
-def _paw():
-    return build_graph(4, [(0, 1), (1, 2), (2, 0), (2, 3)])
 
 
 def bipartite_cyclic_graphs(max_n):
@@ -236,7 +232,7 @@ def test_criterion_6_fixture_verdicts():
         "K_{2,2}": complete_bipartite(2, 2),
         "C5": cycle(5),
         "K4": complete(4),
-        "triangle+pendant": _paw(),
+        "triangle+pendant": paw(),
     }
     for name, g in expected_true.items():
         verdict = is_equilibrium(g)

@@ -1,6 +1,7 @@
 import collections
 import hashlib
 import json
+import sys
 
 import pytest
 
@@ -154,7 +155,16 @@ class TestTheory:
         monkeypatch.setattr(theory, "LayerProfile", counting("LayerProfile", theory.LayerProfile))
         monkeypatch.setattr(kernels, "bipartite_side",
                             counting("bipartite_side", kernels.bipartite_side))
+        bfs_dists = kernels.bfs_dists
+
+        def diameter_bfs(*args):
+            if sys._getframe(1).f_code.co_name == "_diametral":
+                counts["diameter_bfs"] += 1
+            return bfs_dists(*args)
+
+        monkeypatch.setattr(kernels, "bfs_dists", diameter_bfs)
         structure.decompose.cache_clear()
+        theory._diametral.cache_clear()
         assert run(["theory", write_edges(tmp_path, FAR14), "--observer", "all"]) == 0
         rep = json.loads(capsys.readouterr().out)
         assert rep["bipartite"] and rep["strict_witness"] is not None
@@ -163,6 +173,9 @@ class TestTheory:
         # the CLI's bipartite flag and strict_witness's own guard
         assert counts["bipartite_side"] == 2
         assert structure.decompose.cache_info().misses == 1
+        # one diameter loop, one BFS per component vertex, read by both
+        # component_diameter and strict_witness
+        assert counts["diameter_bfs"] == FAR14.n
 
     @pytest.mark.parametrize("g, bipartite", [(THEORY_PINS["c6_pendant"][0], True),
                                               (complete(4), False)], ids=["c6-pendant", "k4"])
@@ -209,6 +222,16 @@ def test_disconnected_input(tmp_path, capsys, command, text):
     captured = capsys.readouterr()
     assert captured.err == f"error: {command} requires a connected graph\n"
     assert captured.out == ""
+
+
+def test_parser_built_once(tmp_path, capsys):
+    from swapeq import cli
+
+    cli._parser.cache_clear()
+    assert run(["check", write_edges(tmp_path, star(3))]) == 0
+    assert run(["dynamics", write_edges(tmp_path, path(4))]) == 0
+    assert "outcome: converged" in capsys.readouterr().out
+    assert cli._parser.cache_info().misses == 1
 
 
 class TestDynamics:

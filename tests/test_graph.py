@@ -13,10 +13,8 @@ from swapeq.graph import (
     bfs_distances,
     build_graph,
     diameter,
-    distance_layer,
     graph_from_adj,
     sum_distances,
-    sum_distances_restricted,
 )
 
 import oracle
@@ -89,27 +87,12 @@ class TestDistances:
     def test_sum_disconnected(self):
         assert sum_distances(build_graph(3, [(0, 1)]), 0) is INF
 
-    def test_restricted(self):
-        g = path(4)
-        assert sum_distances_restricted(g, 0, {2, 3}) == 5
-        assert sum_distances_restricted(g, 0, set()) == 0
-        assert sum_distances_restricted(g, 0, {0}) == 0
-
     def test_diameter(self):
         assert diameter(complete_bipartite(2, 3)) == 2
         assert diameter(cycle(6)) == 3
         assert diameter(path(4)) == 3
         assert diameter(build_graph(2, [])) is INF
         assert diameter(build_graph(1, [])) == 0
-
-    def test_distance_layer(self):
-        c4 = cycle(4)
-        assert distance_layer(c4, range(4), 0, 1) == {1, 3}
-        assert distance_layer(c4, range(4), 0, 2) == {2}
-        assert distance_layer(c4, {1, 2}, 0, 1) == {1}
-        for subset in ([-1, 3], [3, 7]):  # no wrap-around, no bare IndexError
-            with pytest.raises(VertexRangeError):
-                distance_layer(path(4), subset, 0, 3)
 
 
 class TestInf:

@@ -8,7 +8,6 @@ from swapeq.structure import (
     DisconnectedError,
     block_vertices,
     classify,
-    cycle_lengths,
     decompose,
     is_bipartite,
     pendant_world,
@@ -154,6 +153,7 @@ class TestClassify:
         c = classify(cycle(4))
         assert not c.block_graph and c.cactus
         assert c.complete_bipartite == (2, 2)
+        assert classify(cycle(6)).complete_bipartite is None
 
     def test_two_triangles(self):
         g = build_graph(5, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 2)])
@@ -162,6 +162,7 @@ class TestClassify:
     def test_star_chain(self):
         c = classify(star(3))
         assert c.star and c.tree and c.block_graph and c.cactus
+        assert c.complete_bipartite == (1, 3)
         assert not classify(path(4)).star
 
     def test_block_and_cactus_iff_triangle_cycles(self):
@@ -187,19 +188,3 @@ class TestClassify:
             with pytest.raises(DisconnectedError):
                 classify(g)
 
-
-class TestCycleLengths:
-    def test_c5_pendant(self):
-        g = build_graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 5)])
-        assert cycle_lengths(g) == (5,)
-
-    def test_two_triangles(self):
-        g = build_graph(5, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 2)])
-        assert cycle_lengths(g) == (3, 3)
-
-    def test_tree(self):
-        assert cycle_lengths(star(3)) == ()
-
-    def test_non_cactus(self):
-        with pytest.raises(GraphError):
-            cycle_lengths(complete(4))

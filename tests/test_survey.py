@@ -8,7 +8,7 @@ import pytest
 
 from swapeq import survey
 from swapeq.equilibrium import is_equilibrium
-from swapeq.families import complete, complete_bipartite, cycle, path, star
+from swapeq.families import complete, complete_bipartite, cycle, path, paw, star
 from swapeq.graph import GraphError, build_graph, graph_from_adj
 from swapeq.io import encode_graph6, write_report
 from swapeq.survey import (
@@ -211,7 +211,7 @@ class TestRunSurvey:
         expected_reps = {
             encode_graph6(canonical_graph(star(3))): 4,
             encode_graph6(canonical_graph(cycle(4))): 3,
-            encode_graph6(canonical_graph(_paw())): 12,
+            encode_graph6(canonical_graph(paw())): 12,
             encode_graph6(canonical_graph(_diamond())): 6,
             encode_graph6(canonical_graph(complete(4))): 1,
         }
@@ -308,12 +308,6 @@ def _mask_of(rec):
     return adj_to_mask(g.adj)
 
 
-def _paw():
-    from swapeq.graph import build_graph
-
-    return build_graph(4, [(0, 1), (1, 2), (2, 0), (2, 3)])
-
-
 def _diamond():
     from swapeq.graph import build_graph
 
@@ -344,7 +338,7 @@ class TestVerifyClaims:
         assert res["delta_nonpos"] == "holds"
 
     def test_paw_bridge_degree(self):
-        g = _paw()
+        g = paw()
         res = verify_claims(g, is_equilibrium(g))
         assert res["bridge_degree"] == "holds"
         assert res["cycle_bounds"] == "holds"

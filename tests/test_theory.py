@@ -8,7 +8,6 @@ from pathlib import Path
 
 import pytest
 
-from swapeq.equilibrium import is_equilibrium
 from swapeq.families import complete, complete_bipartite, cycle, path, star
 from swapeq.graph import GraphError, build_graph
 from swapeq.structure import block_vertices, decompose, pendant_world
@@ -18,12 +17,10 @@ from swapeq.theory import (
     NotBipartiteError,
     adjacent_cut_condition,
     aggregate_swaps,
-    bipartite_characterization,
     bridge_degree_condition,
     cactus_cycle_report,
     check_inequalities,
     closed_form_shift,
-    closer_neighbor,
     component_diameter,
     layer_profile,
     simulated_shift,
@@ -117,16 +114,6 @@ for name, fake, fn, args in cases:
             "observer must live in the entry's world",
             "swap inside a bridgeless component cannot disconnect",
         ]
-
-
-class TestCloserNeighbor:
-    def test_c4(self):
-        assert closer_neighbor(C4, H4, 0, 1) == 0
-        assert closer_neighbor(C4, H4, 0, 3) == 0
-
-    def test_ambiguous(self):
-        with pytest.raises(ComponentError):
-            closer_neighbor(C4, H4, 0, 2)
 
 
 class TestShifts:
@@ -319,8 +306,9 @@ class TestStructuralConditions:
         (3, (0, 0)), (4, (0, 12)), (5, (60, 240)), (6, (3000, 6480)),
     ])
     def test_conditions_match_flooded_worlds(self, n, failures):
-        # both conditions test a world for triviality with one AND; the
-        # reference floods every world with pendant_world and reads its size
+        # single_pendant tests a world for triviality with one AND and
+        # adjacent_cut tests cut-vertex adjacency; the references flood every
+        # world with pendant_world and read its size
         def single_pendant_by_worlds(g):
             tecc = decompose(g).tecc
             return all(sum(pendant_world(g, t, u) != {u} for u in t) <= 1 for t in tecc)
@@ -335,6 +323,13 @@ class TestStructuralConditions:
 
         single_fails = adjacent_fails = 0
         for g in enumerate_labeled_connected(n):
+            # the lemma adjacent_cut_condition rests on: a block vertex has
+            # a nontrivial world exactly when it is a cut vertex
+            dec = decompose(g)
+            for b in dec.bcc:
+                vb = block_vertices(b)
+                for a in vb:
+                    assert (pendant_world(g, vb, a) != {a}) == (a in dec.cut_vertices)
             if g.m == n - 1:
                 with pytest.raises(GraphError):
                     single_pendant_condition(g)
@@ -358,13 +353,3 @@ class TestStructuralConditions:
         assert not cactus_cycle_report(two_squares).long_cycle_count_ok
         with pytest.raises(GraphError):
             cactus_cycle_report(complete(4))
-
-    def test_bipartite_characterization(self):
-        v = bipartite_characterization(complete_bipartite(2, 2))
-        assert v.complete_bipartite == (2, 2) and v.is_equilibrium
-        v = bipartite_characterization(cycle(6))
-        assert v.complete_bipartite is None and not v.is_equilibrium
-        v = bipartite_characterization(star(3))
-        assert v.complete_bipartite == (1, 3) and v.is_equilibrium
-        with pytest.raises(NotBipartiteError):
-            bipartite_characterization(cycle(5))
