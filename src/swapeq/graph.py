@@ -9,7 +9,7 @@ floats.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, total_ordering
 from typing import Iterable
 
 from . import kernels
@@ -35,9 +35,10 @@ class VertexRangeError(GraphError):
     pass
 
 
+@total_ordering
 class _Infinity:
     """Sentinel for unreachable distances: greater than every int, absorbing
-    under addition."""
+    under addition.  It has no order with floats or Fractions."""
 
     __slots__ = ()
 
@@ -53,25 +54,6 @@ class _Infinity:
     def __lt__(self, other):
         if isinstance(other, (int, _Infinity)):
             return False
-        return NotImplemented
-
-    def __le__(self, other):
-        if isinstance(other, _Infinity):
-            return True
-        if isinstance(other, int):
-            return False
-        return NotImplemented
-
-    def __gt__(self, other):
-        if isinstance(other, int):
-            return True
-        if isinstance(other, _Infinity):
-            return False
-        return NotImplemented
-
-    def __ge__(self, other):
-        if isinstance(other, (int, _Infinity)):
-            return True
         return NotImplemented
 
     def __add__(self, other):

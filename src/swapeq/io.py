@@ -10,15 +10,15 @@ from __future__ import annotations
 import csv
 import io as _stdio
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any
 
-from . import kernels
+from . import __version__, kernels
 from .graph import Graph, GraphError, _Infinity, build_graph
 
 GRAPH6_PREFIX = ">>graph6<<"
 GRAPH6_MAX_N = 62
+SCHEMA_VERSION = "1"
 
 SURVEY_CSV_COLUMNS = (
     "graph6",
@@ -154,14 +154,6 @@ def parse_edge_list(text: str) -> Graph:
         raise EdgeListParseError(f"line {line}: {err}") from err
 
 
-@dataclass(frozen=True)
-class ReportDocument:
-    """Serializable report: a schema tag plus an ordered payload mapping."""
-
-    schema_version: str
-    payload: dict[str, Any]
-
-
 def _json_default(obj):
     """json.dumps hook for the exact values a payload may hold."""
     if isinstance(obj, Fraction):
@@ -173,13 +165,15 @@ def _json_default(obj):
     raise TypeError(f"{type(obj).__name__} is not JSON serialisable")
 
 
-def write_report(doc: ReportDocument, fmt: str) -> bytes:
-    """Serialize a report deterministically; fmt is "json" or "csv"."""
+def write_report(payload: dict[str, Any], fmt: str) -> bytes:
+    """Serialize a report deterministically; fmt is "json" or "csv".  A JSON
+    report opens with schema_version and tool_version, then the payload's
+    fields in order."""
     if fmt == "json":
-        body = {"schema_version": doc.schema_version, **doc.payload}
+        body = {"schema_version": SCHEMA_VERSION, "tool_version": __version__, **payload}
         return (json.dumps(body, indent=2, default=_json_default) + "\n").encode()
     if fmt == "csv":
-        records = doc.payload.get("records")
+        records = payload.get("records")
         if records is None:
             raise ValueError("csv output needs a payload with 'records'")
         buf = _stdio.StringIO()

@@ -21,7 +21,7 @@ from functools import cached_property
 from . import kernels
 from .equilibrium import Deviation, EquilibriumVerdict
 from .graph import Graph, GraphError, graph_from_adj
-from .io import Graph6Error, ReportDocument, encode_graph6, parse_graph6
+from .io import Graph6Error, encode_graph6, parse_graph6
 from .structure import classify, decompose
 from .theory import (
     adjacent_cut_condition,
@@ -30,8 +30,6 @@ from .theory import (
     cactus_cycle_report,
     single_pendant_condition,
 )
-
-from . import __version__ as _tool_version
 
 HOLDS = "holds"
 VIOLATED = "violated"
@@ -136,7 +134,8 @@ class SurveyConfigError(ValueError):
 
 @dataclass(frozen=True)
 class SurveyConfig:
-    """Either n (built-in enumeration, 3..8) or graph6_lines must be set."""
+    """Exactly one of n (built-in enumeration, 3..8) and graph6_lines is set.
+    A config checks itself when it is made: SurveyConfigError otherwise."""
 
     n: int | None = None
     graph6_lines: tuple[str, ...] | None = None
@@ -145,6 +144,22 @@ class SurveyConfig:
     workers: int = 1
     keep_records: bool = True
     progress: bool = False
+
+    def __post_init__(self):
+        for k, c in enumerate(self.claims):
+            if c not in _CLAIMS:
+                raise SurveyConfigError(
+                    f"unknown claim {c!r}; known: {', '.join(CLAIM_NAMES)}")
+            if c in self.claims[:k]:
+                raise SurveyConfigError(f"duplicate claim {c!r}")
+        if self.workers < 1:
+            raise SurveyConfigError(f"workers must be >= 1, got {self.workers}")
+        if self.n is not None and self.graph6_lines is not None:
+            raise SurveyConfigError("survey takes either n or a graph6 stream, not both")
+        if self.n is None and self.graph6_lines is None:
+            raise SurveyConfigError("survey needs either n or a graph6 stream")
+        if self.n is not None and not (isinstance(self.n, int) and 3 <= self.n <= 8):
+            raise SurveyConfigError(f"survey n must be in 3..8, got {self.n}")
 
 
 @dataclass(frozen=True)
@@ -400,34 +415,21 @@ def _tasks(config: SurveyConfig):
     claims = config.claims
     if config.n is not None:
         n = config.n
-        if not isinstance(n, int) or not 3 <= n <= 8:
-            raise SurveyConfigError(f"survey n must be in 3..8, got {n}")
         total = 1 << (n * (n - 1) // 2)
         for lo in range(0, total, _CHUNK_MASKS):
             yield ("masks", (n, lo, min(lo + _CHUNK_MASKS, total)),
                    claims, config.keep_records, config.dedup)
-    elif config.graph6_lines is not None:
+    else:
         # (1-based line number, stripped line) for every non-blank line
         lines = [(k, ln.strip()) for k, ln in enumerate(config.graph6_lines, 1)
                  if ln.strip()]
         for k in range(0, len(lines), _CHUNK_LINES):
             yield ("g6", tuple(lines[k:k + _CHUNK_LINES]),
                    claims, config.keep_records, config.dedup)
-    else:
-        raise SurveyConfigError("survey needs either n or a graph6 stream")
 
 
 def run_survey(config: SurveyConfig) -> SurveyResult:
     """Run the sweep; results are independent of the worker count."""
-    for k, c in enumerate(config.claims):
-        if c not in _CLAIMS:
-            raise SurveyConfigError(f"unknown claim {c!r}")
-        if c in config.claims[:k]:
-            raise SurveyConfigError(f"duplicate claim {c!r}")
-    if config.workers < 1:
-        raise SurveyConfigError(f"workers must be >= 1, got {config.workers}")
-    if config.n is not None and config.graph6_lines is not None:
-        raise SurveyConfigError("survey takes either n or a graph6 stream, not both")
     tasks = list(_tasks(config))
     # never more processes than tasks or CPUs
     workers = min(config.workers, len(tasks), os.cpu_count() or 1)
@@ -462,11 +464,10 @@ def run_survey(config: SurveyConfig) -> SurveyResult:
     return SurveyResult(records, summary)
 
 
-def survey_report(result: SurveyResult, config: SurveyConfig) -> ReportDocument:
-    """Report document for write_report; echoes the config without the
+def survey_report(result: SurveyResult, config: SurveyConfig) -> dict:
+    """Report payload for write_report; echoes the config without the
     worker count so reports stay byte-identical across worker settings."""
-    payload = {
-        "tool_version": _tool_version,
+    return {
         "config": {
             "source": "enumeration" if config.n is not None else "graph6",
             "n": config.n,
@@ -476,4 +477,3 @@ def survey_report(result: SurveyResult, config: SurveyConfig) -> ReportDocument:
         "records": [r.as_dict() for r in (result.records or [])],
         "summary": result.summary.as_dict(),
     }
-    return ReportDocument(schema_version="1", payload=payload)

@@ -6,7 +6,7 @@ import sys
 import pytest
 
 from swapeq.cli import run
-from swapeq.families import complete, complete_bipartite, cycle, path, star
+from swapeq.families import complete, complete_bipartite, cycle, path, paw, star
 from swapeq.graph import Graph, build_graph
 from swapeq.io import encode_graph6
 
@@ -43,6 +43,21 @@ THEORY_PINS = {
     "c5": (cycle(5), "1ca9f12d4a78cc5850b4382c0f569cfb2d927a9273ae07b53fcaa2dffcde3076"),
 }
 
+
+ANALYZE_PINS = {
+    "c4_pendant": (
+        build_graph(5, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4)]),
+        "50fdc5551f7299c9435a7aa588670174658b1774ca2fbb97adde175946167c0d"),
+    "k4": (complete(4), "4681892a5e61122740c5f13197873ebcb8f0c74a19b54c80c8c2989b155fbd13"),
+    "star4": (star(4), "91f0f885380a283db44c4e896ef32f5f488cfc570c5ce89eb75ea6657435c1db"),
+    # not bipartite: the odd_walk path
+    "c5": (cycle(5), "760ec32db26bc43fdab3929f50db3c7a689ca83180e8945be3862f81b319eccd"),
+    "paw": (paw(), "46988dbfbf267b5d0a9892436ad58010927160347560b2a659356c6c6c9e8255"),
+    "far8": (FAR8, "08d8bb012cac30900cbf92641b2118112d8ec4a49da8680b2e9136d8ee2b7d44"),
+    # disconnected: no classes, decomposition or worlds
+    "two_edges": (build_graph(4, [(0, 1), (2, 3)]),
+                  "53fe58d795d25b65e31e4a13e3a43ccf323a64fad409b7072e28278a09c26464"),
+}
 
 class TestCheck:
     def test_k23_equilibrium(self, tmp_path, capsys):
@@ -105,6 +120,14 @@ class TestAnalyze:
         rep = json.loads(capsys.readouterr().out)
         assert rep["classes"]["block_graph"] is True
         assert rep["classes"]["tree"] is True
+
+    @pytest.mark.parametrize("name", sorted(ANALYZE_PINS))
+    def test_report_pinned(self, tmp_path, capsys, name):
+        # sha256 of the whole report, tool_version included: any byte that moves shows here
+        g, digest = ANALYZE_PINS[name]
+        assert run(["analyze", write_edges(tmp_path, g)]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestTheory:
@@ -281,6 +304,15 @@ def test_unwritable_out(tmp_path, capsys, command):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("command", ["check", "dynamics"])
+def test_out_only_where_a_report_is_written(tmp_path, capsys, command):
+    # check and dynamics print a verdict or a trace; --out is a usage error
+    out = tmp_path / "report.json"
+    assert run([command, write_edges(tmp_path, path(4)), "--out", str(out)]) == 2
+    assert "unrecognized arguments: --out" in capsys.readouterr().err
+    assert not out.exists()
+
+
 class TestSurvey:
     def test_n5_all_claims(self, tmp_path):
         out = tmp_path / "report.json"
@@ -311,8 +343,13 @@ class TestSurvey:
         assert run(["survey"]) == 2
         assert run(["survey", "--n", "4", "--g6", "x.g6"]) == 2
 
-    def test_unknown_claim(self):
+    def test_unknown_claim(self, capsys):
         assert run(["survey", "--n", "4", "--claims", "bogus"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == ("error: unknown claim 'bogus'; known: tree_star, bipartite_krs, "
+                                "block_diam2, cactus_diam2, bridge_degree, single_pendant, "
+                                "adjacent_cut, cycle_bounds, delta_nonpos\n")
+        assert captured.out == ""
 
     def test_duplicate_claim(self, capsys):
         assert run(["survey", "--n", "4", "--claims", "tree_star,tree_star"]) == 2

@@ -1,4 +1,6 @@
+import operator
 import pickle
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
@@ -101,6 +103,25 @@ class TestInf:
         assert not INF < 0
         assert 5 < INF
         assert INF >= INF and INF <= INF and INF == INF
+
+    @pytest.mark.parametrize("op", [operator.lt, operator.le, operator.gt, operator.ge,
+                                    operator.eq, operator.ne], ids=lambda op: op.__name__)
+    def test_compares_as_a_huge_int(self, op):
+        # every comparison over ints and bools answers as 10**100 would
+        values = (INF, -3, 0, 5, True)
+        big = [10**100 if v is INF else v for v in values]
+        for a, x in zip(values, big):
+            for b, y in zip(values, big):
+                assert op(a, b) is op(x, y), (a, b)
+
+    @pytest.mark.parametrize("other", [Fraction(1, 2), 0.5], ids=["fraction", "float"])
+    @pytest.mark.parametrize("op", [operator.lt, operator.le, operator.gt, operator.ge],
+                             ids=lambda op: op.__name__)
+    def test_no_order_with_non_ints(self, op, other):
+        with pytest.raises(TypeError):
+            op(INF, other)
+        with pytest.raises(TypeError):
+            op(other, INF)
 
     def test_absorbing_addition(self):
         assert INF + 7 is INF

@@ -6,13 +6,12 @@ import networkx as nx
 import pytest
 from hypothesis import given, strategies as st
 
-from swapeq import io, kernels
+from swapeq import __version__, io, kernels
 from swapeq.families import complete, cycle, star
 from swapeq.graph import INF, graph_from_adj
 from swapeq.io import (
     MalformedHeaderError,
     EdgeListParseError,
-    ReportDocument,
     TrailingGarbageError,
     TruncatedPayloadError,
     encode_graph6,
@@ -191,18 +190,20 @@ class TestEdgeList:
 
 class TestReports:
     def test_json_deterministic(self):
-        doc = ReportDocument("1", {"config": {"n": 4}, "records": [{"a": 1}]})
-        assert write_report(doc, "json") == write_report(doc, "json")
-        body = json.loads(write_report(doc, "json"))
+        payload = {"config": {"n": 4}, "records": [{"a": 1}]}
+        assert write_report(payload, "json") == write_report(payload, "json")
+        body = json.loads(write_report(payload, "json"))
+        assert list(body) == ["schema_version", "tool_version", "config", "records"]
         assert body["schema_version"] == "1"
+        assert body["tool_version"] == __version__
 
     def test_json_exact_values(self):
         payload = {"shift": Fraction(-3, 4), "rows": [(1, INF)], "comp": frozenset({3, 1, 2})}
-        body = json.loads(write_report(ReportDocument("1", payload), "json"))
-        assert body == {"schema_version": "1", "shift": "-3/4", "rows": [[1, "INF"]],
-                        "comp": [1, 2, 3]}
+        body = json.loads(write_report(payload, "json"))
+        assert body == {"schema_version": "1", "tool_version": __version__, "shift": "-3/4",
+                        "rows": [[1, "INF"]], "comp": [1, 2, 3]}
         with pytest.raises(TypeError, match="set is not JSON serialisable"):
-            write_report(ReportDocument("1", {"bad": {1, 2}}), "json")
+            write_report({"bad": {1, 2}}, "json")
 
     def test_csv_columns(self):
         rec = {
@@ -211,18 +212,18 @@ class TestReports:
             "equilibrium": True, "diameter": 1, "witness_deviation": "",
             "claim_violations": "",
         }
-        data = write_report(ReportDocument("1", {"records": [rec]}), "csv")
+        data = write_report({"records": [rec]}, "csv")
         lines = data.decode().splitlines()
         assert lines[0] == ("graph6,n,m,connected,bipartite,tree,block,cactus,"
                             "equilibrium,diameter,witness_deviation,claim_violations")
         assert lines[1].startswith("C~,4,6,")
 
     def test_csv_empty(self):
-        data = write_report(ReportDocument("1", {"records": []}), "csv")
+        data = write_report({"records": []}, "csv")
         assert data.decode().splitlines() == [
             "graph6,n,m,connected,bipartite,tree,block,cactus,equilibrium,"
             "diameter,witness_deviation,claim_violations"]
 
     def test_unsupported_format(self):
         with pytest.raises(ValueError, match="unsupported"):
-            write_report(ReportDocument("1", {}), "xml")
+            write_report({}, "xml")

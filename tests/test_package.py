@@ -69,3 +69,14 @@ def test_one_pair_walk():
         if isinstance(inner, ast.For) and ast.unparse(inner.iter) == f"range({outer.target.id})"
     }
     assert found == {("_kernels_py.py", "triangle_rows"), ("_kernels_py.py", "triangle_bits")}
+
+
+def test_report_header_written_once():
+    # the JSON report header is io.write_report's alone; callers hand it a payload
+    found = {
+        (path.name, node.value)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Constant) and node.value in ("tool_version", "schema_version")
+    }
+    assert found == {("io.py", "tool_version"), ("io.py", "schema_version")}

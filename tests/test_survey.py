@@ -12,6 +12,7 @@ from swapeq.families import complete, complete_bipartite, cycle, path, paw, star
 from swapeq.graph import GraphError, build_graph, graph_from_adj
 from swapeq.io import encode_graph6, write_report
 from swapeq.survey import (
+    CLAIM_NAMES,
     CanonicalForm,
     SurveyConfig,
     SurveyConfigError,
@@ -242,6 +243,27 @@ class TestRunSurvey:
                 run_survey(SurveyConfig(n=4, workers=workers))
         with pytest.raises(SurveyConfigError):
             run_survey(SurveyConfig(n=3, graph6_lines=("Bw",)))
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"n": 9}, "survey n must be in 3..8, got 9"),
+        ({"n": 2}, "survey n must be in 3..8, got 2"),
+        ({}, "survey needs either n or a graph6 stream"),
+        ({"n": 3, "graph6_lines": ("Bw",)}, "survey takes either n or a graph6 stream, not both"),
+        ({"n": 4, "claims": ("nope",)},
+         "unknown claim 'nope'; known: " + ", ".join(CLAIM_NAMES)),
+        ({"n": 4, "claims": ("tree_star", "tree_star")}, "duplicate claim 'tree_star'"),
+        ({"n": 4, "workers": 0}, "workers must be >= 1, got 0"),
+        ({"graph6_lines": ("Bw",), "workers": -2}, "workers must be >= 1, got -2"),
+    ], ids=["n9", "n2", "no-source", "two-sources", "unknown-claim", "duplicate-claim",
+            "workers0", "workers-2"])
+    def test_config_checked_when_made(self, kwargs, message):
+        # the config is the one place a survey request is checked
+        with pytest.raises(SurveyConfigError) as err:
+            SurveyConfig(**kwargs)
+        assert str(err.value) == message
+        with pytest.raises(SurveyConfigError) as err:
+            dataclasses.replace(SurveyConfig(n=4), **{"n": None, **kwargs})
+        assert str(err.value) == message
 
     @pytest.mark.parametrize("keep_records", [False, True])
     def test_per_graph_work_done_once(self, monkeypatch, keep_records):
