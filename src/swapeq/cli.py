@@ -46,8 +46,10 @@ def _load_graph(path: str, fmt: str | None) -> Graph:
         fmt = "g6" if path.endswith(".g6") else "edges"
     try:
         if fmt == "g6":
-            first = next((ln for ln in text.splitlines() if ln.strip()), "")
-            return parse_graph6(first)
+            lines = [ln for ln in text.splitlines() if ln.strip()]
+            if len(lines) > 1:
+                raise ValueError(f"{len(lines)} graph6 lines, one graph expected")
+            return parse_graph6(lines[0] if lines else "")
         return parse_edge_list(text)
     except ValueError as err:
         raise CliError(f"parse error in {path}: {err}") from err
@@ -127,7 +129,7 @@ def _cmd_theory(args) -> int:
         try:
             observers = [int(args.observer)]
         except ValueError:
-            raise CliError(f"--observer must be a vertex id or 'all'") from None
+            raise CliError("--observer must be a vertex id or 'all'") from None
         if not 0 <= observers[0] < g.n:
             raise CliError(f"observer {observers[0]} out of range")
 

@@ -1,8 +1,9 @@
 """Graph and report serialization: graph6, edge-list text, JSON/CSV reports.
 
-graph6 follows the public format: a size byte n+63 (n <= 62 here), then the
-upper triangle of the adjacency matrix in column-major order packed into
-6-bit groups, each group offset by 63 into the printable range.
+graph6 follows the public format: a size byte n+63 for n <= 62, or '~' and
+n in three 6-bit bytes for 63 <= n <= 64, then the upper triangle of the
+adjacency matrix in column-major order packed into 6-bit groups, each group
+offset by 63 into the printable range.
 """
 
 from __future__ import annotations
@@ -14,10 +15,9 @@ from fractions import Fraction
 from typing import Any
 
 from . import __version__, kernels
-from .graph import Graph, GraphError, _Infinity, build_graph
+from .graph import MAX_VERTICES, Graph, GraphError, _Infinity, build_graph
 
 GRAPH6_PREFIX = ">>graph6<<"
-GRAPH6_MAX_N = 62
 SCHEMA_VERSION = "1"
 
 SURVEY_CSV_COLUMNS = (
@@ -61,7 +61,7 @@ def _payload_len(n: int) -> int:
 
 
 def parse_graph6(text: str) -> Graph:
-    """Decode one graph6 string (single-byte size header, n in 1..62)."""
+    """Decode one graph6 string (n in 1..64)."""
     s = text.strip()
     if s.startswith(GRAPH6_PREFIX):
         s = s[len(GRAPH6_PREFIX):]
@@ -69,13 +69,22 @@ def parse_graph6(text: str) -> Graph:
         raise MalformedHeaderError("empty graph6 string")
     head = ord(s[0])
     if head == 126:
-        raise MalformedHeaderError("extended size headers (n >= 63) not supported")
-    if not 63 <= head <= 125:
+        size = [ord(ch) - 63 for ch in s[1:4]]
+        if len(size) < 3 or not all(0 <= c < 64 for c in size):
+            raise MalformedHeaderError(
+                f"extended size header {s[:4]!r} needs three bytes after '~'")
+        n = size[0] << 12 | size[1] << 6 | size[2]
+        if not 63 <= n <= MAX_VERTICES:
+            raise MalformedHeaderError(
+                f"extended size header {s[:4]!r} is not for n in 63..{MAX_VERTICES}")
+        body = s[4:]
+    elif 63 <= head <= 125:
+        n = head - 63
+        body = s[1:]
+    else:
         raise MalformedHeaderError(f"size byte {head} outside printable graph6 range")
-    n = head - 63
     if n == 0:
         raise MalformedHeaderError("graph6 null graph has no vertices")
-    body = s[1:]
     need = _payload_len(n)
     if len(body) < need:
         raise TruncatedPayloadError(
@@ -101,11 +110,13 @@ def parse_graph6(text: str) -> Graph:
 def encode_graph6(g: Graph) -> str:
     """Bit-exact graph6 encoding; inverse of parse_graph6."""
     n = g.n
-    if n > GRAPH6_MAX_N:
-        raise GraphError(f"graph6 single-byte headers stop at n={GRAPH6_MAX_N}")
+    if n < 63:
+        head = chr(63 + n)
+    else:  # '~' and n in three 6-bit bytes, high first
+        head = "~" + "".join(chr(63 + (n >> k & 63)) for k in (12, 6, 0))
     need = _payload_len(n)
     bits = kernels.triangle_bits(g.adj) << (6 * need - n * (n - 1) // 2)
-    return chr(63 + n) + "".join(
+    return head + "".join(
         chr(63 + (bits >> 6 * k & 63)) for k in range(need - 1, -1, -1))
 
 

@@ -2,8 +2,8 @@
 
 Enumerates every labeled simple connected graph on n vertices (or consumes a
 graph6 stream), decides the equilibrium verdict for each, and evaluates the
-structural claims the theory module encodes.  Workers split the edge-mask
-space into fixed chunks merged back in enumeration order, so reports are
+paper's claims, each one row of _CLAIMS.  Workers split the edge-mask space
+into fixed chunks merged back in enumeration order, so reports are
 byte-identical for any worker count.
 """
 
@@ -19,17 +19,11 @@ from fractions import Fraction
 from functools import cached_property
 
 from . import kernels
-from .equilibrium import Deviation, EquilibriumVerdict
+from .equilibrium import EquilibriumVerdict
 from .graph import Graph, GraphError, graph_from_adj
 from .io import Graph6Error, encode_graph6, parse_graph6
-from .structure import classify, decompose
-from .theory import (
-    adjacent_cut_condition,
-    aggregate_swaps,
-    bridge_degree_condition,
-    cactus_cycle_report,
-    single_pendant_condition,
-)
+from .structure import block_vertices, classify, decompose, pendant_world
+from .theory import aggregate_swaps
 
 HOLDS = "holds"
 VIOLATED = "violated"
@@ -60,17 +54,55 @@ class _Facts:
 
 
 def _bridge_degree(f: _Facts):
-    ok, bad = bridge_degree_condition(f.g)
-    return None if ok else f"bridge {bad} with both endpoints of degree >= 2"
+    """Every bridge has a degree-1 endpoint."""
+    g = f.g
+    for a, b in decompose(g).bridges:
+        if g.degree(a) != 1 and g.degree(b) != 1:
+            return f"bridge {(a, b)} with both endpoints of degree >= 2"
+    return None
+
+
+def _single_pendant(f: _Facts):
+    """Every 2-edge-connected component carries at most one nontrivial world."""
+    g = f.g
+    for comp in decompose(g).tecc:
+        # W(u) is nontrivial exactly when u has a neighbour outside comp
+        outside = ~sum(1 << v for v in comp)
+        if sum(1 for u in comp if g.adj[u] & outside) > 1:
+            return "component with two nontrivial pendant worlds"
+    return None
+
+
+def _adjacent_cut(f: _Facts):
+    """No edge joins two cut vertices.
+
+    The claim reads "for adjacent cut vertices a, b of a block B, W(a) or
+    W(b) relative to B is trivial".  Two blocks share at most one vertex,
+    and a vertex in two blocks is a cut vertex (Diestel, Graph Theory,
+    §3.1), so a vertex of B has a neighbour outside B, and hence a
+    nontrivial world, exactly when it is a cut vertex.  Every edge lies in
+    exactly one block, so the claim is one AND per cut vertex against the
+    mask of all cut vertices."""
+    cuts = decompose(f.g).cut_vertices
+    cut_mask = sum(1 << v for v in cuts)
+    if any(f.g.adj[a] & cut_mask for a in cuts):
+        return "adjacent cut vertices with two nontrivial worlds"
+    return None
 
 
 def _cycle_bounds(f: _Facts):
-    rep = cactus_cycle_report(f.g)
-    problems = [text for ok, text in (
-        (rep.max_cycle_len_ok, "cycle longer than 5"),
-        (rep.world_balance_ok, "unbalanced worlds on a long cycle"),
-        (rep.long_cycle_count_ok, "more than one long cycle"),
-    ) if not ok]
+    """Every cycle of a cactus has length <= 5, 4- and 5-cycles carry
+    equal-size worlds, and at most one cycle is longer than a triangle."""
+    g = f.g
+    cycles = [block_vertices(b) for b in decompose(g).bcc if len(b) >= 3]
+    problems = []
+    if any(len(c) > 5 for c in cycles):
+        problems.append("cycle longer than 5")
+    sizes = [{len(pendant_world(g, c, u)) for u in c} for c in cycles if len(c) in (4, 5)]
+    if any(len(s) > 1 for s in sizes):
+        problems.append("unbalanced worlds on a long cycle")
+    if sum(1 for c in cycles if len(c) > 3) > 1:
+        problems.append("more than one long cycle")
     return "; ".join(problems) or None
 
 
@@ -110,14 +142,8 @@ _CLAIMS = {
         lambda f: f.eq and f.cls.cactus,
         lambda f: None if f.diam <= 2 else f"cactus equilibrium with diameter {f.diam}"),
     "bridge_degree": (lambda f: f.eq, _bridge_degree),
-    "single_pendant": (
-        lambda f: f.eq and f.cyclic,
-        lambda f: None if single_pendant_condition(f.g)
-        else "component with two nontrivial pendant worlds"),
-    "adjacent_cut": (
-        lambda f: f.eq,
-        lambda f: None if adjacent_cut_condition(f.g)
-        else "adjacent cut vertices with two nontrivial worlds"),
+    "single_pendant": (lambda f: f.eq and f.cyclic, _single_pendant),
+    "adjacent_cut": (lambda f: f.eq, _adjacent_cut),
     "cycle_bounds": (lambda f: f.eq and f.cls.cactus, _cycle_bounds),
     "delta_nonpos": (lambda f: f.bip and f.cyclic, _delta_nonpos),
 }
@@ -174,28 +200,12 @@ class SurveyRecord:
     cactus: bool
     equilibrium: bool
     diameter: object  # int, or "INF" for disconnected stream input
-    witness_deviation: Deviation | None
+    witness_deviation: str  # "" or "agent:drop->add"
+    claim_violations: str  # violated claims in CLAIM_NAMES order, ";"-joined
     claims: dict
 
     def as_dict(self) -> dict:
-        wit = self.witness_deviation
-        return {
-            "graph6": self.graph6,
-            "n": self.n,
-            "m": self.m,
-            "connected": self.connected,
-            "bipartite": self.bipartite,
-            "tree": self.tree,
-            "block": self.block,
-            "cactus": self.cactus,
-            "equilibrium": self.equilibrium,
-            "diameter": self.diameter,
-            "witness_deviation": "" if wit is None else f"{wit.agent}:{wit.drop}->{wit.add}",
-            "claim_violations": ";".join(
-                c for c in CLAIM_NAMES if self.claims.get(c) == VIOLATED
-            ),
-            "claims": dict(self.claims),
-        }
+        return dict(vars(self))
 
 
 @dataclass
@@ -404,7 +414,9 @@ def _process_chunk(task):
                 cactus=cactus,
                 equilibrium=eq,
                 diameter=diam,
-                witness_deviation=None if wit is None else Deviation(wit[0], wit[1], wit[2]),
+                witness_deviation="" if wit is None else f"{wit[0]}:{wit[1]}->{wit[2]}",
+                claim_violations=";".join(
+                    c for c in CLAIM_NAMES if statuses.get(c) == VIOLATED),
                 claims=statuses,
             ))
 

@@ -1,5 +1,4 @@
-"""Aggregated swap-cost analysis over 2-edge-connected components, plus the
-structural conditions every equilibrium must satisfy.
+"""Aggregated swap-cost analysis over 2-edge-connected components.
 
 For a component H of a connected graph and an observer w, each ordered pair
 (u, v) with v an H-neighbour of u spawns the family of swaps {u,v} -> {u,v'}
@@ -25,7 +24,7 @@ from operator import add
 
 from . import kernels
 from .graph import Graph, GraphError
-from .structure import block_vertices, classify, decompose, pendant_world
+from .structure import decompose, pendant_world
 
 
 class ComponentError(GraphError):
@@ -363,61 +362,3 @@ def strict_witness(
         )
     return StrictWitness(endpoint, total)
 
-
-def bridge_degree_condition(g: Graph):
-    """True iff every bridge has a degree-1 endpoint; else the violator."""
-    for a, b in decompose(g).bridges:
-        if g.degree(a) != 1 and g.degree(b) != 1:
-            return False, (a, b)
-    return True, None
-
-
-def single_pendant_condition(g: Graph) -> bool:
-    """Every 2-edge-connected component carries at most one nontrivial world."""
-    dec = decompose(g)
-    if all(len(t) == 1 for t in dec.tecc):
-        raise GraphError("tree input: no cyclic 2-edge-connected component")
-    for comp in dec.tecc:
-        # W(u) is nontrivial exactly when u has a neighbour outside comp
-        outside = ~sum(1 << v for v in comp)
-        if sum(1 for u in comp if g.adj[u] & outside) > 1:
-            return False
-    return True
-
-
-def adjacent_cut_condition(g: Graph) -> bool:
-    """No edge joins two cut vertices.
-
-    The claim reads "for adjacent cut vertices a, b of a block B, W(a) or
-    W(b) relative to B is trivial".  Two blocks share at most one vertex,
-    and a vertex in two blocks is a cut vertex (Diestel, Graph Theory,
-    §3.1), so a vertex of B has a neighbour outside B, and hence a
-    nontrivial world, exactly when it is a cut vertex.  Every edge lies in
-    exactly one block, so the claim is one AND per cut vertex against the
-    mask of all cut vertices."""
-    cuts = decompose(g).cut_vertices
-    cut_mask = sum(1 << v for v in cuts)
-    return not any(g.adj[a] & cut_mask for a in cuts)
-
-
-@dataclass(frozen=True)
-class CactusCycleReport:
-    max_cycle_len_ok: bool  # every cycle has length <= 5
-    world_balance_ok: bool  # 4- and 5-cycles carry equal-size worlds
-    long_cycle_count_ok: bool  # at most one cycle longer than a triangle
-
-
-def cactus_cycle_report(g: Graph) -> CactusCycleReport:
-    if not classify(g).cactus:
-        raise GraphError("cycle conditions are defined for cactus graphs only")
-    dec = decompose(g)
-    cycles = [block_vertices(b) for b in dec.bcc if len(b) >= 3]
-    max_len_ok = all(len(c) <= 5 for c in cycles)
-    balance_ok = True
-    for c in cycles:
-        if len(c) in (4, 5):
-            sizes = {len(pendant_world(g, c, u)) for u in c}
-            if len(sizes) > 1:
-                balance_ok = False
-    long_ok = sum(1 for c in cycles if len(c) > 3) <= 1
-    return CactusCycleReport(max_len_ok, balance_ok, long_ok)

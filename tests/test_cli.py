@@ -121,6 +121,11 @@ class TestAnalyze:
         assert rep["classes"]["block_graph"] is True
         assert rep["classes"]["tree"] is True
 
+    def test_extended_graph6_header(self, tmp_path, capsys):
+        # 63 and 64 vertices need graph6's '~' size header
+        assert run(["analyze", write_edges(tmp_path, path(63))]) == 0
+        assert json.loads(capsys.readouterr().out)["graph6"].startswith("~??~")
+
     @pytest.mark.parametrize("name", sorted(ANALYZE_PINS))
     def test_report_pinned(self, tmp_path, capsys, name):
         # sha256 of the whole report, tool_version included: any byte that moves shows here
@@ -227,6 +232,10 @@ class TestTheory:
         assert captured.err == f"error: {message}\n"
         assert captured.out == ""
 
+    def test_extended_graph6_header(self, tmp_path, capsys):
+        assert run(["theory", write_g6(tmp_path, [cycle(64)]), "--observer", "0"]) == 0
+        assert json.loads(capsys.readouterr().out)["graph6"].startswith("~?@?")
+
     def test_tree_input_fails(self, tmp_path):
         assert run(["theory", write_edges(tmp_path, star(3))]) == 2
 
@@ -244,6 +253,15 @@ def test_disconnected_input(tmp_path, capsys, command, text):
     assert run([command, str(p)]) == 2
     captured = capsys.readouterr()
     assert captured.err == f"error: {command} requires a connected graph\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["check", "analyze", "theory", "dynamics"])
+def test_graph6_file_holds_one_graph(tmp_path, capsys, command):
+    p = write_g6(tmp_path, [complete(3), cycle(4)])
+    assert run([command, p]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: parse error in {p}: 2 graph6 lines, one graph expected\n"
     assert captured.out == ""
 
 

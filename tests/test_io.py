@@ -62,7 +62,6 @@ class TestGraph6:
         assert encode_graph6(rebuilt) == text
 
     def test_matches_networkx(self):
-        nx = pytest.importorskip("networkx")
         for text, n, edges in EXTERNAL_FIXTURES:
             ref = nx.from_graph6_bytes(text.encode())
             assert ref.number_of_nodes() == n
@@ -93,11 +92,35 @@ class TestGraph6:
         with pytest.raises(MalformedHeaderError):
             parse_graph6("")
         with pytest.raises(MalformedHeaderError):
-            parse_graph6("~??")  # extended header
+            parse_graph6("~??")  # extended header cut short
         with pytest.raises(MalformedHeaderError):
             parse_graph6("?")  # null graph
         with pytest.raises(MalformedHeaderError):
             parse_graph6(" ")
+
+    @pytest.mark.parametrize("n, head", [(63, "~??~"), (64, "~?@?")])
+    def test_extended_header_matches_networkx(self, n, head):
+        # '~' and n in three 6-bit bytes; a path and a seeded random graph
+        rng = random.Random(20261019 + n)
+        for G in (nx.path_graph(n), nx.gnp_random_graph(n, 0.5, seed=rng.randrange(1 << 30))):
+            text = nx.to_graph6_bytes(G, header=False).decode().strip()
+            assert text.startswith(head)
+            g = parse_graph6(text)
+            assert g.n == n
+            assert set(g.edges) == {tuple(sorted(e)) for e in G.edges()}
+            assert encode_graph6(g) == text
+
+    @pytest.mark.parametrize("text, message", [
+        ("~???", "extended size header '~???' is not for n in 63..64"),
+        ("~??}", "extended size header '~??}' is not for n in 63..64"),
+        ("~?A?", "extended size header '~?A?' is not for n in 63..64"),
+        ("~~??????", "extended size header '~~??' is not for n in 63..64"),
+        ("~?" + chr(40) + "~", "extended size header '~?(~' needs three bytes after '~'"),
+    ], ids=["n0", "n62", "n128", "eight-byte", "bad-byte"])
+    def test_extended_header_rejected(self, text, message):
+        with pytest.raises(MalformedHeaderError) as err:
+            parse_graph6(text)
+        assert str(err.value) == message
 
     @pytest.mark.parametrize("case", [1, 2, 3, 4, 5, "n6-sample", "n7-sample", "n8-sample"])
     def test_codec_matches_networkx(self, case):

@@ -49,8 +49,16 @@ def test_pendant_world_callers():
         for node in ast.walk(fn)
         if isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] == "pendant_world"
     }
-    assert found == {("theory.py", "cactus_cycle_report"), ("theory.py", "layer_profile"),
+    assert found == {("survey.py", "_cycle_bounds"), ("theory.py", "layer_profile"),
                      ("cli.py", "_cmd_analyze")}
+
+
+def test_claims_decided_in_survey():
+    # a claim's domain and condition are its _CLAIMS row; theory holds none
+    from swapeq import survey, theory
+
+    assert not [name for name in vars(theory) if name.endswith("_condition")]
+    assert all(detail.__module__ == "swapeq.survey" for _, detail in survey._CLAIMS.values())
 
 
 def test_one_pair_walk():

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import itertools
 import random
 import types
@@ -7,10 +8,12 @@ import networkx as nx
 import pytest
 
 from swapeq import survey
-from swapeq.equilibrium import is_equilibrium
+from swapeq.equilibrium import EquilibriumVerdict, is_equilibrium
 from swapeq.families import complete, complete_bipartite, cycle, path, paw, star
 from swapeq.graph import GraphError, build_graph, graph_from_adj
 from swapeq.io import encode_graph6, write_report
+from swapeq.kernels import bipartite_side
+from swapeq.structure import block_vertices, decompose, pendant_world
 from swapeq.survey import (
     CLAIM_NAMES,
     CanonicalForm,
@@ -503,3 +506,111 @@ class TestViolationReporting:
         }[case]
         assert [(v["graph6"], v["claim"], v["detail"]) for v in res.summary.violations] \
             == [("EhEG", "delta_nonpos", detail)]
+
+
+def _as_equilibrium(g):
+    # the facts of g with the verdict forced, so a claim runs on its whole domain
+    return survey._Facts(g, True, bipartite_side(g.adj) >= 0)
+
+
+def _applies(g, claim):
+    return verify_claims(g, EquilibriumVerdict(True, None, {}), (claim,))[claim] \
+        != "not_applicable"
+
+
+class TestClaimDetails:
+    def test_bridge_degree(self):
+        assert survey._bridge_degree(_as_equilibrium(star(4))) is None
+        assert survey._bridge_degree(_as_equilibrium(path(4))) \
+            == "bridge (1, 2) with both endpoints of degree >= 2"
+        assert survey._bridge_degree(_as_equilibrium(complete(4))) is None
+
+    def test_single_pendant(self):
+        one = build_graph(5, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4)])
+        assert survey._single_pendant(_as_equilibrium(one)) is None
+        two = build_graph(6, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4), (2, 5)])
+        assert survey._single_pendant(_as_equilibrium(two)) \
+            == "component with two nontrivial pendant worlds"
+        assert survey._single_pendant(_as_equilibrium(cycle(4))) is None
+        assert not _applies(path(4), "single_pendant")
+
+    def test_adjacent_cut(self):
+        two_pendants = build_graph(
+            5, [(0, 1), (1, 2), (2, 0), (0, 3), (1, 4)])
+        assert survey._adjacent_cut(_as_equilibrium(two_pendants)) \
+            == "adjacent cut vertices with two nontrivial worlds"
+        one_pendant = build_graph(4, [(0, 1), (1, 2), (2, 0), (0, 3)])
+        assert survey._adjacent_cut(_as_equilibrium(one_pendant)) is None
+        two_triangles = build_graph(
+            5, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 2)])
+        assert survey._adjacent_cut(_as_equilibrium(two_triangles)) is None
+
+    @pytest.mark.parametrize("n, failures", [
+        (3, (0, 0)), (4, (0, 12)), (5, (60, 240)), (6, (3000, 6480)),
+    ])
+    def test_conditions_match_flooded_worlds(self, n, failures):
+        # single_pendant tests a world for triviality with one AND and
+        # adjacent_cut tests cut-vertex adjacency; the references flood every
+        # world with pendant_world and read its size
+        def single_pendant_by_worlds(g):
+            tecc = decompose(g).tecc
+            return all(sum(pendant_world(g, t, u) != {u} for u in t) <= 1 for t in tecc)
+
+        def adjacent_cut_by_worlds(g):
+            dec = decompose(g)
+            cuts = dec.cut_vertices
+            return not any(
+                len(pendant_world(g, block_vertices(b), x)) > 1
+                and len(pendant_world(g, block_vertices(b), y)) > 1
+                for b in dec.bcc for x, y in b if x in cuts and y in cuts)
+
+        single_fails = adjacent_fails = 0
+        for g in enumerate_labeled_connected(n):
+            # the lemma _adjacent_cut rests on: a block vertex has a
+            # nontrivial world exactly when it is a cut vertex
+            dec = decompose(g)
+            for b in dec.bcc:
+                vb = block_vertices(b)
+                for a in vb:
+                    assert (pendant_world(g, vb, a) != {a}) == (a in dec.cut_vertices)
+            facts = _as_equilibrium(g)
+            if g.m == n - 1:
+                assert not _applies(g, "single_pendant")
+            else:
+                expect = single_pendant_by_worlds(g)
+                assert (survey._single_pendant(facts) is None) == expect
+                single_fails += not expect
+            expect = adjacent_cut_by_worlds(g)
+            assert (survey._adjacent_cut(facts) is None) == expect
+            adjacent_fails += not expect
+        assert (single_fails, adjacent_fails) == failures
+
+    def test_cactus_cycles(self):
+        assert survey._cycle_bounds(_as_equilibrium(cycle(5))) is None
+        assert survey._cycle_bounds(_as_equilibrium(cycle(6))) == "cycle longer than 5"
+        c4p = build_graph(5, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4)])
+        assert survey._cycle_bounds(_as_equilibrium(c4p)) \
+            == "unbalanced worlds on a long cycle"
+        two_squares = build_graph(
+            7, [(0, 1), (1, 2), (2, 3), (3, 0), (3, 4), (4, 5), (5, 6), (6, 3)])
+        assert survey._cycle_bounds(_as_equilibrium(two_squares)) \
+            == "unbalanced worlds on a long cycle; more than one long cycle"
+        assert not _applies(complete(4), "cycle_bounds")
+
+    def test_every_detail_pinned(self):
+        # every graph counts as an equilibrium, so each claim runs on its
+        # whole domain; the digest pins every detail text for n = 3..6
+        lines = []
+        for n in range(3, 7):
+            for g in enumerate_labeled_connected(n):
+                facts = _as_equilibrium(g)
+                g6 = encode_graph6(g)
+                for claim in CLAIM_NAMES:
+                    applies, detail = survey._CLAIMS[claim]
+                    if applies(facts):
+                        why = detail(facts)
+                        if why is not None:
+                            lines.append(f"{g6}\t{claim}\t{why}")
+        assert len(lines) == 30762
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest.startswith("6da7dd499a6ef953")

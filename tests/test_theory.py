@@ -8,23 +8,19 @@ from pathlib import Path
 
 import pytest
 
-from swapeq.families import complete, complete_bipartite, cycle, path, star
-from swapeq.graph import GraphError, build_graph
-from swapeq.structure import block_vertices, decompose, pendant_world
+from swapeq.families import complete, complete_bipartite, cycle
+from swapeq.graph import build_graph
+from swapeq.structure import decompose
 from swapeq.survey import enumerate_labeled_connected
 from swapeq.theory import (
     ComponentError,
     NotBipartiteError,
-    adjacent_cut_condition,
     aggregate_swaps,
-    bridge_degree_condition,
-    cactus_cycle_report,
     check_inequalities,
     closed_form_shift,
     component_diameter,
     layer_profile,
     simulated_shift,
-    single_pendant_condition,
     strict_witness,
 )
 
@@ -275,81 +271,3 @@ class TestStrictWitness:
         with pytest.raises(ComponentError):
             layer_profile(g, second, 0).inequalities(aggregate_swaps(g, first))
 
-
-class TestStructuralConditions:
-    def test_bridge_degree(self):
-        assert bridge_degree_condition(star(4)) == (True, None)
-        ok, bad = bridge_degree_condition(path(4))
-        assert not ok and bad == (1, 2)
-        assert bridge_degree_condition(complete(4)) == (True, None)
-
-    def test_single_pendant(self):
-        one = build_graph(5, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4)])
-        assert single_pendant_condition(one)
-        two = build_graph(6, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4), (2, 5)])
-        assert not single_pendant_condition(two)
-        assert single_pendant_condition(cycle(4))
-        with pytest.raises(GraphError):
-            single_pendant_condition(path(4))
-
-    def test_adjacent_cut(self):
-        two_pendants = build_graph(
-            5, [(0, 1), (1, 2), (2, 0), (0, 3), (1, 4)])
-        assert not adjacent_cut_condition(two_pendants)
-        one_pendant = build_graph(4, [(0, 1), (1, 2), (2, 0), (0, 3)])
-        assert adjacent_cut_condition(one_pendant)
-        two_triangles = build_graph(
-            5, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 2)])
-        assert adjacent_cut_condition(two_triangles)
-
-    @pytest.mark.parametrize("n, failures", [
-        (3, (0, 0)), (4, (0, 12)), (5, (60, 240)), (6, (3000, 6480)),
-    ])
-    def test_conditions_match_flooded_worlds(self, n, failures):
-        # single_pendant tests a world for triviality with one AND and
-        # adjacent_cut tests cut-vertex adjacency; the references flood every
-        # world with pendant_world and read its size
-        def single_pendant_by_worlds(g):
-            tecc = decompose(g).tecc
-            return all(sum(pendant_world(g, t, u) != {u} for u in t) <= 1 for t in tecc)
-
-        def adjacent_cut_by_worlds(g):
-            dec = decompose(g)
-            cuts = dec.cut_vertices
-            return not any(
-                len(pendant_world(g, block_vertices(b), x)) > 1
-                and len(pendant_world(g, block_vertices(b), y)) > 1
-                for b in dec.bcc for x, y in b if x in cuts and y in cuts)
-
-        single_fails = adjacent_fails = 0
-        for g in enumerate_labeled_connected(n):
-            # the lemma adjacent_cut_condition rests on: a block vertex has
-            # a nontrivial world exactly when it is a cut vertex
-            dec = decompose(g)
-            for b in dec.bcc:
-                vb = block_vertices(b)
-                for a in vb:
-                    assert (pendant_world(g, vb, a) != {a}) == (a in dec.cut_vertices)
-            if g.m == n - 1:
-                with pytest.raises(GraphError):
-                    single_pendant_condition(g)
-            else:
-                expect = single_pendant_by_worlds(g)
-                assert single_pendant_condition(g) == expect
-                single_fails += not expect
-            expect = adjacent_cut_by_worlds(g)
-            assert adjacent_cut_condition(g) == expect
-            adjacent_fails += not expect
-        assert (single_fails, adjacent_fails) == failures
-
-    def test_cactus_cycles(self):
-        rep = cactus_cycle_report(cycle(5))
-        assert rep.max_cycle_len_ok and rep.world_balance_ok and rep.long_cycle_count_ok
-        assert not cactus_cycle_report(cycle(6)).max_cycle_len_ok
-        c4p = build_graph(5, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4)])
-        assert not cactus_cycle_report(c4p).world_balance_ok
-        two_squares = build_graph(
-            7, [(0, 1), (1, 2), (2, 3), (3, 0), (3, 4), (4, 5), (5, 6), (6, 3)])
-        assert not cactus_cycle_report(two_squares).long_cycle_count_ok
-        with pytest.raises(GraphError):
-            cactus_cycle_report(complete(4))
