@@ -173,8 +173,8 @@ def _reaches_all_in_two(adj, u, full):
     return ball == full
 
 
-def _improving_swaps(adj):
-    """Yield (u, v, vp, delta) for every swap with delta < 0, in (u, v, vp) order.
+def first_improving_swap(adj):
+    """First improving (u, v, vp, delta) in (u, v, vp) order; None at equilibrium.
 
     A swap of agent u drops {u,v} for a neighbour v and adds {u,vp} for a
     non-adjacent vp; delta is u's distance sum after minus before.  Assumes
@@ -183,7 +183,8 @@ def _improving_swaps(adj):
     Agents of eccentricity <= 2 are skipped: such a swap brings vp from
     distance 2 to 1, sends v from 1 to at least 2 and brings no other
     vertex closer, so its delta is >= 0 (Alon, Demaine, Hajiaghayi and
-    Leighton's swap model).  No improving swap is lost.
+    Leighton's swap model).  No improving swap is lost.  This is the
+    A(u,vp) <= 1 case of best_swap's bound, tested without distance vectors.
     """
     n = len(adj)
     full = (1 << n) - 1
@@ -205,18 +206,63 @@ def _improving_swaps(adj):
                 g ^= c
                 d1 = swapped_sum_dist(adj, u, v, vp)
                 if 0 <= d1 < d0:
-                    yield u, v, vp, d1 - d0
-
-
-def first_improving_swap(adj):
-    """First improving (u, v, vp, delta) in (u, v, vp) order; None at equilibrium."""
-    return next(_improving_swaps(adj), None)
+                    return u, v, vp, d1 - d0
+    return None
 
 
 def best_swap(adj):
-    """Improving swap minimising (delta, u, v, vp); None at equilibrium."""
-    swaps = ((delta, u, v, vp) for u, v, vp, delta in _improving_swaps(adj))
-    return min(swaps, default=None)
+    """Improving swap minimising (delta, u, v, vp); None at equilibrium.
+
+    Assumes a connected graph.  The search is bounded.  For an agent u, a
+    non-neighbour vp and x over all vertices, let
+    A(u,vp) = sum of max(0, d(u,x) - 1 - d(vp,x)).  Then every swap
+    {u,v} -> {u,vp} has delta >= 1 - A(u,vp):
+
+    - the swapped graph is a subgraph of G + {u,vp}, so
+      d'(u,x) >= min(d(u,x), 1 + d(vp,x)) for every x;
+    - v is no longer adjacent to u and v != vp, so d'(u,v) >= 2 = d(u,v) + 1,
+      where the first line gives only d'(u,v) >= 1;
+    - summed over x, delta >= -A(u,vp) + 1.
+
+    So a pair with A <= 1 has no improving swap.  An agent of eccentricity
+    <= 2 has A <= 1 for every vp (only x = vp can count, and it counts 1),
+    so it is skipped outright.  The other pairs are evaluated exactly, over
+    every v, in ascending (1 - A, u, vp) order, until a pair's bound exceeds
+    the best delta found.  A pair whose bound equals it is still evaluated,
+    so ties break on (u, v, vp) exactly as in an exhaustive scan.
+    """
+    n = len(adj)
+    full = (1 << n) - 1
+    dist = [bfs_dists(adj, s) for s in range(n)]
+    pairs = []
+    for u in range(n):
+        du = dist[u]
+        if max(du) <= 2:
+            continue
+        du1 = [d - 1 for d in du]
+        g = full & ~adj[u] & ~(1 << u)
+        while g:
+            c = g & -g
+            vp = c.bit_length() - 1
+            g ^= c
+            a = sum(p - q for p, q in zip(du1, dist[vp]) if p > q)
+            if a >= 2:
+                pairs.append((1 - a, u, vp))
+    pairs.sort()
+    best = None
+    for bound, u, vp in pairs:
+        if best is not None and bound > best[0]:
+            break
+        d0 = sum(dist[u])
+        f = adj[u]
+        while f:
+            b = f & -f
+            v = b.bit_length() - 1
+            f ^= b
+            d1 = swapped_sum_dist(adj, u, v, vp)
+            if 0 <= d1 < d0 and (best is None or (d1 - d0, u, v, vp) < best):
+                best = d1 - d0, u, v, vp
+    return best
 
 
 def mask_to_adj(n, mask):

@@ -1,9 +1,10 @@
 """The bitset kernels against the brute-force oracle in tests/oracle.py.
 
 Every labeled graph with n <= 5 is checked, plus seeded samples at n = 6
-and n = 7 and the six n = 8 equilibria of diameter 3.  Bipartiteness is
-checked against networkx, and the two bit-layout codecs against pair-list
-expansions.
+and n = 7, the six n = 8 equilibria of diameter 3 and, for best_swap, the
+best-response trajectories of sparse graphs with n = 16..20.
+Bipartiteness is checked against networkx, and the two bit-layout codecs
+against pair-list expansions.
 """
 
 import random
@@ -14,8 +15,8 @@ import pytest
 import swapeq
 from swapeq import _kernels_py as k
 from swapeq import kernels
-from swapeq.equilibrium import Deviation, is_equilibrium
-from swapeq.families import complete, complete_bipartite, path
+from swapeq.equilibrium import Deviation, is_equilibrium, run_dynamics
+from swapeq.families import complete, complete_bipartite, cycle, path
 from swapeq.graph import INF, build_graph, graph_from_adj
 from swapeq.io import parse_graph6
 from swapeq.survey import canonical_form
@@ -44,6 +45,14 @@ def random_mask(rng, pairs):
     """A G(n, p) edge mask with p drawn uniformly from [0.25, 0.75]."""
     p = rng.uniform(0.25, 0.75)
     return sum(1 << b for b in range(pairs) if rng.random() < p)
+
+
+def sparse_connected(rng, n):
+    """A random recursive tree on n vertices plus n // 4 more edges."""
+    edges = {(rng.randrange(i), i) for i in range(1, n)}
+    while len(edges) < n - 1 + n // 4:
+        edges.add(tuple(sorted(rng.sample(range(n), 2))))
+    return build_graph(n, sorted(edges))
 
 
 def labeled_graphs(case):
@@ -179,14 +188,15 @@ def petersen():
     return build_graph(10, outer + spokes + inner)
 
 
-def count_swaps(mp):
-    """Record the agent of every swapped_sum_dist call, inside the kernels
-    and through the kernels module; returns the list it appends to."""
+def count_swaps(mp, key=lambda u, v, vp: u):
+    """Record key(u, v, vp), by default the agent, of every swapped_sum_dist
+    call, inside the kernels and through the kernels module; returns the
+    list it appends to."""
     agents = []
     real = k.swapped_sum_dist
 
     def counting(adj, u, v, vp):
-        agents.append(u)
+        agents.append(key(u, v, vp))
         return real(adj, u, v, vp)
 
     mp.setattr(k, "swapped_sum_dist", counting)
@@ -194,11 +204,16 @@ def count_swaps(mp):
     return agents
 
 
-def scanned_agents(monkeypatch, kernel, adj):
+def scanned_agents(monkeypatch, kernel, adj, **key):
     """(result, agents whose swaps the kernel evaluated) for one call."""
     with monkeypatch.context() as mp:
-        agents = count_swaps(mp)
+        agents = count_swaps(mp, **key)
         return kernel(adj), agents
+
+
+def pair(u, v, vp):
+    """The (agent, added vertex) pair of a swap: best_swap's bound is per pair."""
+    return u, vp
 
 
 def far_agents(adj):
@@ -235,9 +250,78 @@ def test_diameter2_scans_no_swap(g, monkeypatch):
 
 def test_mixed_graph_scans_far_agents_only(monkeypatch):
     g = path(5)  # eccentricities 4, 3, 2, 3, 4
-    result, agents = scanned_agents(monkeypatch, k.best_swap, g.adj)
+    result, swaps = scanned_agents(monkeypatch, k.best_swap, g.adj, key=pair)
     assert result == oracle_best(oracle_deltas(g.n, list(g.edges)))
-    assert set(agents) == far_agents(g.adj) == {0, 1, 3, 4}
+    # 1 - A is -3 on (0, 3), (0, 4), (4, 0), (4, 1) and -2 on (0, 2), (4, 2),
+    # which are still evaluated: their bound equals the best delta, -2, and
+    # (0, 1, 2) ties (0, 1, 3) and wins on order.  The pairs of the agents
+    # 1 and 3 have 1 - A = -1 and are cut off.
+    assert swaps == [(0, 3), (0, 4), (4, 0), (4, 1), (0, 2), (4, 2)]
+    assert {u for u, _ in swaps} == {0, 4} < far_agents(g.adj) == {0, 1, 3, 4}
+
+
+def add_only_bound(dist, u, vp):
+    """A(u, vp) = sum over x of max(0, d(u,x) - 1 - d(vp,x)); best_swap's
+    bound on the swaps that add {u, vp} is 1 - A."""
+    return sum(max(0, a - 1 - b) for a, b in zip(dist[u], dist[vp]))
+
+
+def oracle_dists(n, edges):
+    return [oracle.distances(n, edges, s) for s in range(n)]
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_best_swap_bound(case):
+    tight = 0
+    for n, adj, edges in connected_graphs(case):
+        dist = oracle_dists(n, edges)
+        for (u, v, vp), delta in oracle_deltas(n, edges).items():
+            a = add_only_bound(dist, u, vp)
+            assert delta is None or delta >= 1 - a
+            tight += delta == 1 - a
+            if max(dist[u]) <= 2:
+                assert a <= 1
+    if case not in (1, 2, 3):
+        assert tight
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_best_swap_skips_closed_pairs(case, monkeypatch):
+    for n, adj, edges in connected_graphs(case):
+        dist = oracle_dists(n, edges)
+        _, swaps = scanned_agents(monkeypatch, k.best_swap, adj, key=pair)
+        assert all(add_only_bound(dist, u, vp) >= 2 for u, vp in swaps)
+
+
+@pytest.mark.parametrize("g, calls, unpruned", [
+    (path(5), 6, 14),
+    # every pair has A = 2 and a swap of delta -1, the best: all tie, none is cut
+    (cycle(6), 36, 36),
+    (sparse_connected(random.Random(16), 16), 5, 454),
+], ids=["P5", "C6", "sparse16"])
+def test_best_swap_call_count(g, calls, unpruned, monkeypatch):
+    result, swaps = scanned_agents(monkeypatch, k.best_swap, g.adj)
+    assert result == oracle_best(oracle_deltas(g.n, list(g.edges)))
+    assert len(swaps) == calls <= unpruned
+    assert unpruned == sum(g.adj[u].bit_count() * (g.n - 1 - g.adj[u].bit_count())
+                           for u in far_agents(g.adj))
+
+
+def test_best_swap_on_dynamics_states():
+    """best_swap against the oracle on every state of six best-response
+    trajectories on sparse graphs with n = 16..20, the sizes dynamics serves."""
+    rng = random.Random(20261019)
+    states = tied = 0
+    for _ in range(6):
+        trace = run_dynamics(sparse_connected(rng, rng.randint(16, 20)), 200)
+        for s in trace.states:
+            deltas = oracle_deltas(s.n, list(s.edges))
+            best = oracle_best(deltas)
+            assert k.best_swap(s.adj) == best
+            states += 1
+            if best is not None:
+                tied += len({(u, vp) for (u, _, vp), d in deltas.items() if d == best[0]}) > 1
+    assert states > 50 and tied
 
 
 @pytest.mark.parametrize("g", [complete(4), complete_bipartite(3, 3), petersen(),
