@@ -25,7 +25,6 @@ from .survey import (
 )
 from .theory import (
     aggregate_swaps,
-    component_diameter,
     layer_profile,
     strict_witness,
 )
@@ -137,7 +136,7 @@ def _cmd_theory(args) -> int:
     payload: dict = {
         "graph6": encode_graph6(g),
         "component": comp,
-        "component_diameter": component_diameter(g, comp),
+        "component_diameter": agg.diameter,
         "bipartite": bip,
     }
     if not bip:
@@ -188,6 +187,8 @@ def _cmd_dynamics(args) -> int:
 def _cmd_survey(args) -> int:
     claims = CLAIM_NAMES if args.claims == "all" else tuple(
         c.strip() for c in args.claims.split(",") if c.strip())
+    if not claims:
+        raise CliError("--claims names no claim")
     if (args.n is None) == (args.g6 is None):
         raise CliError("survey needs exactly one of --n or --g6")
     if args.n == 8 and not args.allow_n8:

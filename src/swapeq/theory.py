@@ -7,8 +7,11 @@ change of d(u, w) over that family; summing shifts over all pairs gives the
 per-observer total, and summing full cost differences the same way gives the
 grand total, which must coincide with the sum of the per-observer totals.
 On bipartite graphs the shift has a closed form in terms of the sets of
-H-neighbours one step closer / farther from the observer; the simulator
-below is the ground truth it is tested against.
+H-neighbours one step closer / farther from the observer.
+
+aggregate_swaps is the one simulator: it builds every deviated graph of
+every family.  The closed form is tested against it, and it is tested
+against the independent brute-force oracle in tests/oracle.py.
 
 All values are exact rationals: the family averages divide by deg_H(v) - 1,
 and sign decisions must not round.
@@ -18,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from math import lcm
 from operator import add
 
@@ -146,33 +149,13 @@ def closed_form_shift(g: Graph, component, w: int, agent: int, dropped: int) -> 
     """Average change of d(agent, w) over the swap family, by the bipartite
     three-case formula (no deviated graphs are built)."""
     _require_bipartite(g)
-    comp = _validate_tecc(g, component)
-    prof = layer_profile(g, comp, w)
+    prof = layer_profile(g, component, w)
+    comp = prof.component
     if agent not in comp or dropped not in comp or not g.has_edge(agent, dropped):
         raise ComponentError("agent and dropped must be adjacent vertices of the component")
     if len(_h_neighbors(g, comp, dropped)) < 2:
         raise ComponentError("dropped vertex needs a second neighbour inside the component")
     return prof.closed_form(agent, dropped)
-
-
-def simulated_shift(g: Graph, component, w: int, agent: int, dropped: int) -> Fraction:
-    """Ground-truth shift: build every deviated graph and measure d(agent, w)."""
-    comp = _validate_tecc(g, component)
-    g.check_vertex(w)
-    if agent not in comp or dropped not in comp or not g.has_edge(agent, dropped):
-        raise ComponentError("agent and dropped must be adjacent vertices of the component")
-    targets = sorted(set(_h_neighbors(g, comp, dropped)) - {agent})
-    if not targets:
-        raise ComponentError("dropped vertex needs a second neighbour inside the component")
-    d0 = kernels.bfs_dists(g.adj, agent)[w]
-    total = 0
-    for vp in targets:
-        g2 = g.replace_edge(agent, dropped, vp)
-        d1 = kernels.bfs_dists(g2.adj, agent)[w]
-        if d1 < 0:
-            raise AssertionError("swap inside a bridgeless component cannot disconnect")
-        total += d1 - d0
-    return Fraction(total, len(targets))
 
 
 @dataclass(frozen=True)
@@ -191,6 +174,10 @@ class SwapAggregate:
     per_observer[w]: sum of shifts over all pairs.
     swap_costs[(u, v)]: average full cost difference of the family.
     total: sum of swap_costs — must equal the sum of per_observer.
+
+    diameter: largest distance between component vertices (graph metric).
+    diameter_endpoint: the first component vertex, in sorted order, whose
+        eccentricity within the component is the diameter.
     """
 
     component: frozenset[int]
@@ -198,6 +185,8 @@ class SwapAggregate:
     families: dict
     observer_nums: tuple[int, ...]
     total_num: int
+    diameter: int
+    diameter_endpoint: int
 
     @cached_property
     def shifts(self) -> dict:
@@ -229,7 +218,8 @@ def aggregate_swaps(g: Graph, component) -> SwapAggregate:
 
     Each deviated graph is built explicitly; per-observer shifts come from
     distance vectors and the grand total from independently computed
-    distance sums, so the accounting identity is a real cross-check.
+    distance sums, so the accounting identity is a real cross-check.  The
+    distance vectors from the component's vertices also give its diameter.
     """
     comp = _validate_tecc(g, component)
     members = sorted(comp)
@@ -241,8 +231,12 @@ def aggregate_swaps(g: Graph, component) -> SwapAggregate:
     families = {}
     obs = [0] * g.n
     total_num = 0
+    diam, endpoint = 0, members[0]
     for agent in members:
         d0vec = kernels.bfs_dists(g.adj, agent)
+        ecc = max(d0vec[v] for v in members)
+        if ecc > diam:
+            diam, endpoint = ecc, agent
         sum0 = kernels.sum_dist(g.adj, agent)
         for dropped in nbrs[agent]:
             targets = [v for v in nbrs[dropped] if v != agent]
@@ -251,15 +245,18 @@ def aggregate_swaps(g: Graph, component) -> SwapAggregate:
             cost = -den * sum0
             for vp in targets:
                 rows = kernels.swapped_rows(g.adj, agent, dropped, vp)
+                after = kernels.sum_dist(rows, agent)
+                if after < 0:
+                    raise AssertionError("swap inside a bridgeless component cannot disconnect")
                 acc = list(map(add, acc, kernels.bfs_dists(rows, agent)))
-                cost += kernels.sum_dist(rows, agent)
+                cost += after
             scale = common // den  # den divides common: numerators over common
             nums = tuple(x * scale for x in acc)
             obs = list(map(add, obs, nums))
             families[(agent, dropped)] = (nums, cost * scale)
             total_num += cost * scale
 
-    return SwapAggregate(comp, common, families, tuple(obs), total_num)
+    return SwapAggregate(comp, common, families, tuple(obs), total_num, diam, endpoint)
 
 
 @dataclass(frozen=True)
@@ -315,26 +312,6 @@ class StrictWitness:
     shift_total: Fraction  # strictly negative
 
 
-@lru_cache(maxsize=2048)
-def _diametral(g: Graph, component: frozenset[int]) -> tuple[int, int | None]:
-    """(diameter, first endpoint in sorted order) of the component, in the
-    graph metric.  Cached: a theory request reads it through both
-    component_diameter and strict_witness."""
-    members = sorted(component)
-    best = (0, members[0] if members else None)
-    for u in members:
-        dv = kernels.bfs_dists(g.adj, u)
-        ecc = max(dv[v] for v in members)
-        if ecc > best[0]:
-            best = (ecc, u)
-    return best
-
-
-def component_diameter(g: Graph, component) -> int:
-    """Largest distance between component vertices (graph metric)."""
-    return _diametral(g, frozenset(component))[0]
-
-
 def strict_witness(
     g: Graph, component, aggregate: SwapAggregate | None = None
 ) -> StrictWitness | None:
@@ -343,17 +320,18 @@ def strict_witness(
 
     The observer is the lexicographically first endpoint of a diametral pair
     (it belongs to its own pendant world).  Returns None when the diameter
-    is at most 2.  aggregate, when given, must be aggregate_swaps(g, component).
+    is at most 2.  aggregate, when given, must be aggregate_swaps(g, component);
+    otherwise it is computed here.
     """
     _require_bipartite(g)
     comp = _validate_tecc(g, component)
-    if aggregate is not None and aggregate.component != comp:
-        raise ComponentError("aggregate belongs to another component")
-    diam, endpoint = _diametral(g, comp)
-    if diam <= 2:
-        return None
     if aggregate is None:
         aggregate = aggregate_swaps(g, comp)
+    elif aggregate.component != comp:
+        raise ComponentError("aggregate belongs to another component")
+    diam, endpoint = aggregate.diameter, aggregate.diameter_endpoint
+    if diam <= 2:
+        return None
     total = aggregate.per_observer[endpoint]
     if not total < 0:
         raise AssertionError(

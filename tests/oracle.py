@@ -6,6 +6,7 @@ stands in for infinity.
 """
 
 from collections import deque
+from fractions import Fraction
 
 
 def distances(n, edges, src):
@@ -69,6 +70,24 @@ def deviation_delta(n, edges, u, v, vp):
     if d1 is None:
         return None
     return d1 - d0
+
+
+def family_shifts(n, edges, comp, u, v):
+    """Average change of d(u, w), for every w, over the swaps {u,v} -> {u,v'}
+    with v' a neighbour of v inside comp other than u.  A v' already adjacent
+    to u leaves one edge {u,v'} (set semantics).  None when a swap
+    disconnects."""
+    eset = {frozenset(e) for e in edges}
+    targets = [x for x in sorted(comp) if x != u and frozenset((v, x)) in eset]
+    before = distances(n, edges, u)
+    change = [0] * n
+    for vp in targets:
+        swapped = (eset - {frozenset((u, v))}) | {frozenset((u, vp))}
+        after = distances(n, [tuple(e) for e in swapped], u)
+        if None in after:
+            return None
+        change = [c + a - b for c, a, b in zip(change, after, before)]
+    return [Fraction(c, len(targets)) for c in change]
 
 
 def equilibrium(n, edges):

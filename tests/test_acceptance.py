@@ -27,7 +27,7 @@ from swapeq.survey import (
     run_survey,
     survey_report,
 )
-from swapeq.theory import aggregate_swaps, closed_form_shift, simulated_shift, strict_witness
+from swapeq.theory import aggregate_swaps, closed_form_shift, strict_witness
 
 import oracle
 
@@ -144,27 +144,34 @@ def test_atlas_recount(small_summaries, n7_summary):
 
 def test_criterion_2_closed_form_matches_simulation():
     """The bipartite closed form equals the simulated shift on every valid
-    triple, n <= 6; any mismatch is reported in full (none tolerated)."""
+    triple, n <= 6, and the simulator equals the independent oracle on every
+    swap family; any mismatch is reported in full (none tolerated)."""
     mismatches = []
-    triples = 0
+    triples = families = 0
     for g in bipartite_cyclic_graphs(6):
         for comp in decompose(g).tecc:
             if len(comp) < 3:
                 continue
-            for w in range(g.n):
-                for u in sorted(comp):
-                    for v in sorted(comp):
-                        if v == u or not g.has_edge(u, v):
-                            continue
+            shifts = aggregate_swaps(g, comp).shifts
+            for u in sorted(comp):
+                for v in sorted(comp):
+                    if v == u or not g.has_edge(u, v):
+                        continue
+                    families += 1
+                    sim = [shifts[(w, u, v)] for w in range(g.n)]
+                    ref = oracle.family_shifts(g.n, g.edges, comp, u, v)
+                    if sim != ref:
+                        mismatches.append((encode_graph6(g), sorted(comp), u, v, sim, ref))
+                    for w in range(g.n):
                         triples += 1
-                        lhs = closed_form_shift(g, comp, w, u, v)
-                        rhs = simulated_shift(g, comp, w, u, v)
-                        if lhs != rhs:
+                        closed = closed_form_shift(g, comp, w, u, v)
+                        if closed != sim[w]:
                             mismatches.append(
-                                (encode_graph6(g), sorted(comp), w, u, v, lhs, rhs))
-    assert triples > 100_000
-    assert mismatches == [], f"closed form disagrees with simulation: {mismatches}"
-    print(f"ACCEPTANCE 2 (closed form == simulation on {triples} triples): PASS")
+                                (encode_graph6(g), sorted(comp), w, u, v, closed, sim[w]))
+    assert triples > 100_000 and families > 17_000
+    assert mismatches == [], f"closed form or oracle disagrees with simulation: {mismatches}"
+    print(f"ACCEPTANCE 2 (closed form == simulation on {triples} triples, "
+          f"simulation == oracle on {families} families): PASS")
 
 
 def test_criterion_3_observer_totals_nonpositive(n7_summary):

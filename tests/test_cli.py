@@ -184,15 +184,14 @@ class TestTheory:
         monkeypatch.setattr(kernels, "bipartite_side",
                             counting("bipartite_side", kernels.bipartite_side))
         bfs_dists = kernels.bfs_dists
+        bfs_callers = collections.Counter()
 
-        def diameter_bfs(*args):
-            if sys._getframe(1).f_code.co_name == "_diametral":
-                counts["diameter_bfs"] += 1
+        def counted_bfs(*args):
+            bfs_callers[sys._getframe(1).f_code.co_name] += 1
             return bfs_dists(*args)
 
-        monkeypatch.setattr(kernels, "bfs_dists", diameter_bfs)
+        monkeypatch.setattr(kernels, "bfs_dists", counted_bfs)
         structure.decompose.cache_clear()
-        theory._diametral.cache_clear()
         assert run(["theory", write_edges(tmp_path, FAR14), "--observer", "all"]) == 0
         rep = json.loads(capsys.readouterr().out)
         assert rep["bipartite"] and rep["strict_witness"] is not None
@@ -201,9 +200,13 @@ class TestTheory:
         # the CLI's bipartite flag and strict_witness's own guard
         assert counts["bipartite_side"] == 2
         assert structure.decompose.cache_info().misses == 1
-        # one diameter loop, one BFS per component vertex, read by both
-        # component_diameter and strict_witness
-        assert counts["diameter_bfs"] == FAR14.n
+        # the aggregate: one BFS from each component vertex, which also gives
+        # the diameter, and one per swap, (deg_H(v) - 1) for each pair (u, v);
+        # one profile BFS per observer; nothing else
+        comp = frozenset(rep["component"])
+        deg = {v: sum(1 for x in FAR14.neighbors(v) if x in comp) for v in comp}
+        swaps = sum(d * (d - 1) for d in deg.values())
+        assert bfs_callers == {"aggregate_swaps": len(comp) + swaps, "layer_profile": FAR14.n}
 
     @pytest.mark.parametrize("g, bipartite", [(THEORY_PINS["c6_pendant"][0], True),
                                               (complete(4), False)], ids=["c6-pendant", "k4"])
@@ -367,6 +370,14 @@ class TestSurvey:
         assert captured.err == ("error: unknown claim 'bogus'; known: tree_star, bipartite_krs, "
                                 "block_diam2, cactus_diam2, bridge_degree, single_pendant, "
                                 "adjacent_cut, cycle_bounds, delta_nonpos\n")
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("claims", ["", ",", " , "])
+    def test_empty_claims(self, capsys, claims):
+        # a verifier that checks nothing must not report success
+        assert run(["survey", "--n", "3", "--claims", claims]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: --claims names no claim\n"
         assert captured.out == ""
 
     def test_duplicate_claim(self, capsys):

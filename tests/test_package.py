@@ -53,6 +53,26 @@ def test_pendant_world_callers():
                      ("cli.py", "_cmd_analyze")}
 
 
+def test_one_family_simulator():
+    # aggregate_swaps is the theory layer's only simulator of swap families;
+    # the other row edits are the kernel's swap, the graph's and a deviation's
+    found = {
+        (path.name, fn.name)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for fn in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(fn, ast.FunctionDef)
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Call)
+        and ast.unparse(node.func).split(".")[-1] in ("swapped_rows", "replace_edge")
+    }
+    assert found == {("_kernels_py.py", "swapped_sum_dist"), ("graph.py", "replace_edge"),
+                     ("equilibrium.py", "apply_deviation"), ("theory.py", "aggregate_swaps")}
+    # and theory keeps nothing from one request to the next
+    theory = ast.parse((PACKAGE / "theory.py").read_text())
+    names = {getattr(node, attr, None) for node in ast.walk(theory) for attr in ("id", "attr", "name")}
+    assert "lru_cache" not in names
+
+
 def test_claims_decided_in_survey():
     # a claim's domain and condition are its _CLAIMS row; theory holds none
     from swapeq import survey, theory

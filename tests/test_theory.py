@@ -18,11 +18,11 @@ from swapeq.theory import (
     aggregate_swaps,
     check_inequalities,
     closed_form_shift,
-    component_diameter,
     layer_profile,
-    simulated_shift,
     strict_witness,
 )
+
+import oracle
 
 C4 = cycle(4)
 H4 = frozenset(range(4))
@@ -86,10 +86,10 @@ g = cycle(4)
 cases = [
     ("bfs_dists", lambda adj, s: [0] * len(adj), theory.layer_profile, (g, range(4), 0)),
     ("pendant_world", lambda *a: frozenset(), theory.layer_profile, (g, range(4), 0)),
-    ("bfs_dists", lambda adj, s: [-1] * len(adj), theory.simulated_shift, (g, range(4), 0, 1, 0)),
+    ("sum_dist", lambda adj, s: -1, theory.aggregate_swaps, (g, range(4))),
 ]
 for name, fake, fn, args in cases:
-    module = kernels if name == "bfs_dists" else theory
+    module = kernels if name in ("bfs_dists", "sum_dist") else theory
     real = getattr(module, name)
     setattr(module, name, fake)
     try:
@@ -119,25 +119,26 @@ class TestShifts:
         assert closed_form_shift(C4, H4, 0, 0, 1) == 0
 
     def test_c4_simulated(self):
-        assert simulated_shift(C4, H4, 0, 1, 0) == 1
-        assert simulated_shift(C4, H4, 0, 2, 1) == -1
-        assert simulated_shift(C4, H4, 0, 0, 1) == 0
+        shifts = aggregate_swaps(C4, H4).shifts
+        assert shifts[(0, 1, 0)] == 1
+        assert shifts[(0, 2, 1)] == -1
+        assert shifts[(0, 0, 1)] == 0
 
     def test_requires_bipartite(self):
         g = cycle(5)
         with pytest.raises(NotBipartiteError):
             closed_form_shift(g, frozenset(range(5)), 0, 1, 0)
         # the simulator has no bipartite precondition
-        assert simulated_shift(g, frozenset(range(5)), 0, 1, 0) == Fraction(1)
+        assert aggregate_swaps(g, frozenset(range(5))).shifts[(0, 1, 0)] == Fraction(1)
 
     def test_closed_form_equals_simulation_k23(self):
         g = complete_bipartite(2, 3)
         comp = frozenset(range(5))
+        shifts = aggregate_swaps(g, comp).shifts
         for w in range(5):
             for u in range(5):
                 for v in g.neighbors(u):
-                    assert closed_form_shift(g, comp, w, u, v) == \
-                        simulated_shift(g, comp, w, u, v)
+                    assert closed_form_shift(g, comp, w, u, v) == shifts[(w, u, v)]
 
 
 class TestAggregate:
@@ -177,6 +178,22 @@ class TestAggregate:
             comp = cyclic_components(g)[0]
             agg = aggregate_swaps(g, comp)
             assert agg.total == agg.observer_total
+
+    def test_matches_oracle_non_bipartite(self):
+        # the bipartite families are checked in acceptance criterion 2; here
+        # odd cycles, and triangles, where v' may already be adjacent to u
+        rng = random.Random(30)
+        pool = [g for g in enumerate_labeled_connected(6) if not is_bip(g)]
+        families = 0
+        for g in rng.sample(pool, 300):
+            for comp in cyclic_components(g):
+                agg = aggregate_swaps(g, comp)
+                for u, v in agg.families:
+                    expect = oracle.family_shifts(g.n, g.edges, comp, u, v)
+                    assert [agg.shifts[(w, u, v)] for w in range(g.n)] == expect, \
+                        (g.edges, sorted(comp), u, v)
+                    families += 1
+        assert families > 3000
 
     def test_component_with_pendants(self):
         g = build_graph(6, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4), (4, 5)])
@@ -245,7 +262,7 @@ class TestStrictWitness:
     def test_pendant_component(self):
         g = build_graph(7, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (0, 6)])
         comp = frozenset(range(6))
-        assert component_diameter(g, comp) == 3
+        assert aggregate_swaps(g, comp).diameter == 3
         wit = strict_witness(g, comp)
         assert wit is not None and wit.shift_total < 0
         agg = aggregate_swaps(g, comp)
