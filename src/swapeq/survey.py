@@ -5,11 +5,19 @@ graph6 stream), decides the equilibrium verdict for each, and evaluates the
 paper's claims, each one row of _CLAIMS.  Workers split the edge-mask space
 into fixed chunks merged back in enumeration order, so reports are
 byte-identical for any worker count.
+
+A summary-only enumeration (n set, keep_records False) counts classes
+instead: the verdict and every claim are invariant under relabelling, so it
+checks one graph per isomorphism class and weights every count by the
+class's n!/|Aut| labeled copies.  Its summary is the labeled one, violations
+included.  Records and graph6 streams stay labeled.
 """
 
 from __future__ import annotations
 
 import contextlib
+import itertools
+import math
 import multiprocessing
 import os
 import sys
@@ -260,8 +268,9 @@ class CanonicalForm:
         return graph_from_adj(self.n, kernels.triangle_rows(self.n, self.bits))
 
 
-def _canonical_bits(g: Graph) -> int:
-    """Minimum over all vertex orders of the column-major upper triangle.
+def _canonical_bits(adj) -> tuple[int, int]:
+    """(bits, aut): the minimum over all vertex orders of the column-major
+    upper triangle of adjacency rows, and the number of orders that reach it.
 
     Column k holds the adjacency of the k-th vertex placed to the vertices
     placed before it, the first of them as the high bit.  Columns have fixed
@@ -274,9 +283,13 @@ def _canonical_bits(g: Graph) -> int:
     - twins, x and y with N(x) - y == N(y) - x, are swapped by an
       automorphism that fixes every vertex placed so far, so a node branches
       on only one unused member of each twin class.
+
+    The orders that reach the minimum form one coset of the automorphism
+    group, so aut is |Aut|.  None of them is cut, and a twin branch not
+    taken reaches as many as the branch of its tried twin, so each branch
+    counts once per unused member of its twin class.
     """
-    n = g.n
-    adj = g.adj
+    n = len(adj)
     twins = [0] * n
     for x in range(n):
         for y in range(n):
@@ -284,39 +297,89 @@ def _canonical_bits(g: Graph) -> int:
                 twins[x] |= 1 << y
     width = n * (n - 1) // 2
     best = -1
+    aut = 0
 
-    def rec(k: int, used: int, prefix: int, cols: list[int]) -> None:
-        # cols[x]: adjacency of x to the k vertices placed so far
-        nonlocal best
-        if k == n:
+    def rec(k: int, free: int, prefix: int, rest: list, orders: int) -> None:
+        # rest: (column, x) for each unused x, the column its adjacency to
+        # the k vertices placed so far; free: the unused vertices as a mask;
+        # orders: the vertex orders this node stands for
+        nonlocal best, aut
+        if not rest:
             if best < 0 or prefix < best:
-                best = prefix
+                best, aut = prefix, orders
+            elif prefix == best:
+                aut += orders
             return
-        low = min(cols[x] for x in range(n) if not used >> x & 1)
+        low = min(rest)[0]
         prefix = (prefix << k) | low
         if best >= 0 and prefix > best >> (width - k * (k + 1) // 2):
             return
         tried = 0
-        for x in range(n):
-            if used >> x & 1 or cols[x] != low or twins[x] & tried:
+        for c, x in rest:
+            if c != low or twins[x] & tried:
                 continue
             tried |= 1 << x
-            rec(k + 1, used | 1 << x, prefix,
-                [(c << 1) | (a >> x & 1) for c, a in zip(cols, adj)])
+            row = adj[x]
+            rec(k + 1, free & ~(1 << x), prefix,
+                [(d << 1 | row >> y & 1, y) for d, y in rest if y != x],
+                orders * (1 + (twins[x] & free).bit_count()))
 
-    rec(0, 0, 0, [0] * n)
-    return best
+    rec(0, (1 << n) - 1, 0, [(0, x) for x in range(n)], 1)
+    return best, aut
 
 
 def canonical_form(g: Graph) -> CanonicalForm:
     if g.n > 8:
         raise GraphError("canonical form search is capped at 8 vertices")
-    return CanonicalForm(g.n, _canonical_bits(g))
+    return CanonicalForm(g.n, _canonical_bits(g.adj)[0])
 
 
 def canonical_graph(g: Graph) -> Graph:
     """The canonical representative (relabelled copy) of g's isomorphism class."""
     return canonical_form(g).graph()
+
+
+def _graph_classes(n: int, progress: bool = False) -> dict:
+    """Canonical bits -> |Aut| for every graph on n vertices up to isomorphism.
+
+    Level k extends each class on k - 1 vertices by a new vertex, in every
+    way that leaves the new vertex of minimum degree.  Deleting a vertex of
+    minimum degree from any graph on k vertices leaves a graph on k - 1, so
+    every class is reached, and canonical bits merge the repeats (orderly
+    generation; McKay, "Isomorph-free exhaustive generation", J. Algorithms
+    1998).  The survey's n <= 8 keeps the canonical search within its cap.
+    """
+    level = {0: 1}  # the one graph on a single vertex
+    for k in range(2, n + 1):
+        new = 1 << (k - 1)
+        found: dict = {}
+        for bits in level:
+            rows = kernels.triangle_rows(k - 1, bits)
+            degs = [r.bit_count() for r in rows]
+            for nbrs in range(new):
+                d = nbrs.bit_count()
+                if any(deg + (nbrs >> v & 1) < d for v, deg in enumerate(degs)):
+                    continue
+                adj = [r | new if nbrs >> v & 1 else r for v, r in enumerate(rows)]
+                adj.append(nbrs)
+                form, aut = _canonical_bits(adj)
+                found.setdefault(form, aut)
+        level = found
+        if progress:
+            print(f"survey: level {k}/{n}, {len(level)} classes", file=sys.stderr)
+    return level
+
+
+def _labeled_masks(adj) -> list[int]:
+    """Row-major edge masks of every distinct relabelling of adj, ascending."""
+    n = len(adj)
+    masks = set()
+    for perm in itertools.permutations(range(n)):
+        rows = [0] * n
+        for i, row in enumerate(adj):
+            rows[perm[i]] = sum(1 << perm[j] for j in range(n) if row >> j & 1)
+        masks.add(kernels.adj_to_mask(rows))
+    return sorted(masks)
 
 
 def _check(f: _Facts, claims, violations: list) -> dict:
@@ -440,8 +503,59 @@ def _tasks(config: SurveyConfig):
                    claims, config.keep_records, config.dedup)
 
 
+def _class_survey(config: SurveyConfig) -> SurveyResult:
+    """The summary of the labeled enumeration, from one check per connected
+    isomorphism class weighted by its n!/|Aut| labeled copies.
+
+    A class that violates a claim is checked again on each labeled copy, in
+    ascending mask order, so violations and their details read as the
+    labeled enumeration reports them."""
+    n, claims = config.n, config.claims
+    summary = SurveySummary(claim_counts={c: [0, 0, 0] for c in claims})
+    classes: list | None = [] if config.dedup else None
+    flagged = []  # (mask, violations) of each violating labeled copy
+    labelings = math.factorial(n)
+    for bits, aut in sorted(_graph_classes(n, config.progress).items()):
+        adj = kernels.triangle_rows(n, bits)
+        if not kernels.is_connected(adj):
+            continue
+        weight = labelings // aut
+        bip = kernels.bipartite_side(adj) >= 0
+        eq = kernels.first_improving_swap(adj) is None
+        g = graph_from_adj(n, adj)
+        summary.graphs += weight
+        if eq:
+            summary.equilibria += weight
+            if classes is not None:
+                classes.append({"graph6": encode_graph6(g), "count": weight})
+        found: list = []
+        statuses = _check(_Facts(g, eq, bip), claims, found)
+        if not found:
+            for c, s in statuses.items():
+                summary.claim_counts[c][_SLOT[s]] += weight
+            continue
+        for mask in _labeled_masks(adj):
+            copy = graph_from_adj(n, kernels.mask_to_adj(n, mask))
+            found = []
+            for c, s in _check(_Facts(copy, eq, bip), claims, found).items():
+                summary.claim_counts[c][_SLOT[s]] += 1
+            if found:
+                g6 = encode_graph6(copy)
+                flagged.append((mask, [{"graph6": g6, "claim": c, "detail": d}
+                                       for c, d in found]))
+    flagged.sort(key=lambda mv: mv[0])
+    summary.violations = [v for _, vs in flagged for v in vs]
+    summary.equilibrium_classes = classes
+    return SurveyResult(None, summary)
+
+
 def run_survey(config: SurveyConfig) -> SurveyResult:
-    """Run the sweep; results are independent of the worker count."""
+    """Run the sweep; results are independent of the worker count.
+
+    A summary-only enumeration takes the class path in this process; every
+    other request enumerates labeled graphs over the worker pool."""
+    if config.n is not None and not config.keep_records:
+        return _class_survey(config)
     tasks = list(_tasks(config))
     # never more processes than tasks or CPUs
     workers = min(config.workers, len(tasks), os.cpu_count() or 1)

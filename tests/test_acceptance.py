@@ -2,7 +2,9 @@
 
 Each test prints a PASS line on success (visible with -s); the n = 3..6 and
 n = 7 sweeps are shared between criteria 1 and 3 and the atlas recount
-through module-scoped fixtures.
+through module-scoped fixtures.  These sweeps and criterion 9's n = 8 sweep
+are summary-only, so they take the class path; tests/test_survey.py checks
+it against the labeled enumeration.
 """
 
 import math
@@ -27,9 +29,10 @@ from swapeq.survey import (
     run_survey,
     survey_report,
 )
-from swapeq.theory import aggregate_swaps, closed_form_shift, strict_witness
+from swapeq.theory import aggregate_swaps, closed_form_shift, layer_profile, strict_witness
 
 import oracle
+from test_kernels import DIAMETER3_N8
 
 
 def bipartite_cyclic_graphs(max_n):
@@ -66,6 +69,7 @@ def random_bipartite_2ec(count, seed=20240817, max_n=10):
 
 @pytest.fixture(scope="module")
 def n7_summary():
+    # summary only, so this is the class path, which runs in one process
     return run_survey(SurveyConfig(
         n=7, keep_records=False, workers=os.cpu_count() or 1)).summary
 
@@ -145,33 +149,42 @@ def test_atlas_recount(small_summaries, n7_summary):
 def test_criterion_2_closed_form_matches_simulation():
     """The bipartite closed form equals the simulated shift on every valid
     triple, n <= 6, and the simulator equals the independent oracle on every
-    swap family; any mismatch is reported in full (none tolerated)."""
+    swap family; any mismatch is reported in full (none tolerated).  One
+    layer profile per observer gives the closed form of all its triples;
+    closed_form_shift, which validates its arguments, is called once per
+    component."""
     mismatches = []
-    triples = families = 0
+    triples = families = spot_checks = 0
     for g in bipartite_cyclic_graphs(6):
         for comp in decompose(g).tecc:
             if len(comp) < 3:
                 continue
             shifts = aggregate_swaps(g, comp).shifts
-            for u in sorted(comp):
-                for v in sorted(comp):
-                    if v == u or not g.has_edge(u, v):
-                        continue
-                    families += 1
-                    sim = [shifts[(w, u, v)] for w in range(g.n)]
-                    ref = oracle.family_shifts(g.n, g.edges, comp, u, v)
-                    if sim != ref:
-                        mismatches.append((encode_graph6(g), sorted(comp), u, v, sim, ref))
-                    for w in range(g.n):
-                        triples += 1
-                        closed = closed_form_shift(g, comp, w, u, v)
-                        if closed != sim[w]:
-                            mismatches.append(
-                                (encode_graph6(g), sorted(comp), w, u, v, closed, sim[w]))
+            pairs = [(u, v) for u in sorted(comp) for v in sorted(comp)
+                     if v != u and g.has_edge(u, v)]
+            for u, v in pairs:
+                families += 1
+                sim = [shifts[(w, u, v)] for w in range(g.n)]
+                ref = oracle.family_shifts(g.n, g.edges, comp, u, v)
+                if sim != ref:
+                    mismatches.append((encode_graph6(g), sorted(comp), u, v, sim, ref))
+            for w in range(g.n):
+                prof = layer_profile(g, comp, w)
+                for u, v in pairs:
+                    triples += 1
+                    closed = prof.closed_form(u, v)
+                    if closed != shifts[(w, u, v)]:
+                        mismatches.append((encode_graph6(g), sorted(comp), w, u, v,
+                                           closed, shifts[(w, u, v)]))
+            u, v = pairs[0]
+            spot_checks += 1
+            if closed_form_shift(g, comp, 0, u, v) != shifts[(0, u, v)]:
+                mismatches.append((encode_graph6(g), sorted(comp), 0, u, v, "spot check"))
     assert triples > 100_000 and families > 17_000
     assert mismatches == [], f"closed form or oracle disagrees with simulation: {mismatches}"
     print(f"ACCEPTANCE 2 (closed form == simulation on {triples} triples, "
-          f"simulation == oracle on {families} families): PASS")
+          f"simulation == oracle on {families} families, "
+          f"{spot_checks} closed_form_shift spot checks): PASS")
 
 
 def test_criterion_3_observer_totals_nonpositive(n7_summary):
@@ -286,3 +299,22 @@ def test_criterion_8_report_determinism():
     assert blobs[1][0] == blobs[4][0]
     assert blobs[1][1] == blobs[4][1]
     print("ACCEPTANCE 8 (worker-count determinism): PASS")
+
+
+def test_criterion_9_n8_class_sweep():
+    """Zero violations of every claim over all labeled connected graphs on 8
+    vertices, the first size with equilibria of diameter 3: exactly the six
+    classes pinned in test_kernels, with 80,640 labeled copies in all."""
+    summary = run_survey(SurveyConfig(n=8, keep_records=False, dedup=True)).summary
+    assert summary.graphs == 251_548_592  # A001187
+    assert summary.equilibria == 86_495_984
+    assert summary.violations == []
+    by_diameter = {}
+    for c in summary.equilibrium_classes:
+        diam = kernels.diameter(parse_graph6(c["graph6"]).adj)
+        by_diameter.setdefault(diam, {})[c["graph6"]] = c["count"]
+    assert sorted(by_diameter) == [1, 2, 3]
+    assert sorted(by_diameter[3]) == sorted(DIAMETER3_N8)
+    assert sum(by_diameter[3].values()) == 80_640
+    assert sum(sum(d.values()) for d in by_diameter.values()) == summary.equilibria
+    print("ACCEPTANCE 9 (class sweep n=8, six diameter-3 equilibrium classes): PASS")

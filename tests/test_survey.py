@@ -1,17 +1,18 @@
 import dataclasses
 import hashlib
 import itertools
+import math
 import random
 import types
 
 import networkx as nx
 import pytest
 
-from swapeq import survey
+from swapeq import kernels, survey
 from swapeq.equilibrium import EquilibriumVerdict, is_equilibrium
 from swapeq.families import complete, complete_bipartite, cycle, path, paw, star
 from swapeq.graph import GraphError, build_graph, graph_from_adj
-from swapeq.io import encode_graph6, write_report
+from swapeq.io import encode_graph6, parse_graph6, write_report
 from swapeq.kernels import bipartite_side
 from swapeq.structure import block_vertices, decompose, pendant_world
 from swapeq.survey import (
@@ -192,6 +193,69 @@ def _isomorphic_brute(g1, g2):
     return False
 
 
+# OEIS A000088, A001349 and A001187 for n = 1..8: graphs up to isomorphism,
+# connected graphs up to isomorphism, connected labeled graphs.
+_GRAPHS = [1, 2, 4, 11, 34, 156, 1_044, 12_346]
+_CONNECTED = [1, 1, 2, 6, 21, 112, 853, 11_117]
+_LABELED_CONNECTED = [1, 1, 4, 38, 728, 26_704, 1_866_256, 251_548_592]
+
+
+@pytest.fixture(scope="module")
+def graph_classes():
+    return {n: survey._graph_classes(n) for n in range(1, 9)}
+
+
+def _vf2_automorphisms(g):
+    h = _to_nx(g)
+    return sum(1 for _ in nx.algorithms.isomorphism.GraphMatcher(h, h).isomorphisms_iter())
+
+
+class TestGraphClasses:
+    def test_counts_match_oeis(self, graph_classes):
+        for n, classes in graph_classes.items():
+            connected = [aut for bits, aut in classes.items()
+                         if kernels.is_connected(kernels.triangle_rows(n, bits))]
+            assert len(classes) == _GRAPHS[n - 1], n
+            assert len(connected) == _CONNECTED[n - 1], n
+            assert sum(math.factorial(n) // aut for aut in connected) \
+                == _LABELED_CONNECTED[n - 1], n
+
+    def test_keys_are_canonical_forms(self, graph_classes):
+        for n in range(1, 8):
+            for bits in graph_classes[n]:
+                rep = CanonicalForm(n, bits).graph()
+                assert canonical_form(rep) == CanonicalForm(n, bits)
+
+    def test_aut_matches_networkx_n_le_7(self, graph_classes):
+        for n in range(1, 8):
+            for bits, aut in graph_classes[n].items():
+                assert aut == _vf2_automorphisms(CanonicalForm(n, bits).graph()), (n, bits)
+
+    def test_aut_matches_networkx_n8_sampled(self, graph_classes):
+        rng = random.Random(8)
+        for bits in rng.sample(sorted(graph_classes[8]), 150):
+            g = CanonicalForm(8, bits).graph()
+            assert graph_classes[8][bits] == _vf2_automorphisms(g), bits
+
+    @pytest.mark.parametrize("name", sorted(_TWIN_HEAVY))
+    def test_aut_twin_heavy(self, name):
+        # twin pruning skips the most branches here; each must still count
+        g = _TWIN_HEAVY[name]
+        aut = {"K8": 40_320, "K44": 2 * 24 * 24, "K17": 5_040, "K2222": 24 * 2 ** 4,
+               "doubled_star_7": 2 * 120, "doubled_star_8": 2 * 720}[name]
+        assert survey._canonical_bits(g.adj)[1] == aut
+        assert survey._canonical_bits(_relabelled(g, random.Random(name)).adj)[1] == aut
+
+    def test_labeled_masks_are_the_class(self):
+        for g in (path(4), cycle(5), paw(), star(5)):
+            masks = survey._labeled_masks(g.adj)
+            assert masks == sorted(set(masks))
+            assert len(masks) == math.factorial(g.n) // _vf2_automorphisms(g)
+            form = canonical_form(g)
+            assert all(canonical_form(graph_from_adj(g.n, kernels.mask_to_adj(g.n, m))) == form
+                       for m in masks)
+
+
 class TestRunSurvey:
     def test_n4_against_oracle(self):
         res = run_survey(SurveyConfig(n=4, dedup=True))
@@ -226,11 +290,37 @@ class TestRunSurvey:
         assert set(res.summary.claim_counts) == {"tree_star", "delta_nonpos"}
         assert not res.summary.violations
 
-    def test_summary_only(self):
-        full = run_survey(SurveyConfig(n=4))
-        lean = run_survey(SurveyConfig(n=4, keep_records=False))
-        assert lean.records is None
-        assert lean.summary.as_dict() == full.summary.as_dict()
+    @pytest.mark.parametrize("dedup", [False, True], ids=["plain", "dedup"])
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_class_path_equals_labeled_path(self, n, dedup):
+        labeled = run_survey(SurveyConfig(n=n, dedup=dedup))
+        classes = run_survey(SurveyConfig(n=n, dedup=dedup, keep_records=False))
+        assert labeled.records is not None and classes.records is None
+        assert classes.summary.as_dict() == labeled.summary.as_dict()
+
+    def test_class_path_progress_per_level(self, capsys):
+        run_survey(SurveyConfig(n=5, keep_records=False, progress=True))
+        assert capsys.readouterr().err.splitlines() == [
+            "survey: level 2/5, 2 classes", "survey: level 3/5, 4 classes",
+            "survey: level 4/5, 11 classes", "survey: level 5/5, 34 classes"]
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_class_path_reports_labeled_violations(self, monkeypatch, n):
+        # a claim that fails on every equilibrium with a pendant vertex and
+        # names the lowest such label: whether it fails does not depend on
+        # the labels, but its text does
+        def pendant(f):
+            ends = [v for v in range(f.g.n) if f.g.degree(v) == 1]
+            return f"pendant vertex {ends[0]}" if ends else None
+
+        monkeypatch.setitem(survey._CLAIMS, "bridge_degree", (lambda f: f.eq, pendant))
+        labeled = run_survey(SurveyConfig(n=n)).summary
+        classes = run_survey(SurveyConfig(n=n, keep_records=False)).summary
+        assert len({v["detail"] for v in labeled.violations}) > 1
+        violators = {canonical_form(parse_graph6(v["graph6"])) for v in labeled.violations}
+        assert len(violators) > 1
+        assert classes.violations == labeled.violations
+        assert classes.as_dict() == labeled.as_dict()
 
     def test_bad_config(self):
         with pytest.raises(SurveyConfigError):
@@ -394,7 +484,7 @@ class TestDeterminism:
                 return map(fn, tasks)
 
         monkeypatch.setattr(survey, "multiprocessing", types.SimpleNamespace(Pool=StandInPool))
-        result = run_survey(SurveyConfig(n=n, claims=(), keep_records=False, workers=workers))
+        result = run_survey(SurveyConfig(n=n, claims=(), keep_records=True, workers=workers))
         assert sizes == pools
         assert result.summary.graphs == {5: 728, 6: 26704}[n]
 
