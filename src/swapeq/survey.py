@@ -2,15 +2,17 @@
 
 Enumerates every labeled simple connected graph on n vertices (or consumes a
 graph6 stream), decides the equilibrium verdict for each, and evaluates the
-paper's claims, each one row of _CLAIMS.  Workers split the edge-mask space
-into fixed chunks merged back in enumeration order, so reports are
-byte-identical for any worker count.
+paper's claims, each one row of _CLAIMS.  Work is split into tasks that
+one loop, _process_chunk, runs; workers take the tasks, and their results
+are merged back in enumeration order, so reports are byte-identical for any
+worker count.
 
-A summary-only enumeration (n set, keep_records False) counts classes
-instead: the verdict and every claim are invariant under relabelling, so it
-checks one graph per isomorphism class and weights every count by the
-class's n!/|Aut| labeled copies.  Its summary is the labeled one, violations
-included.  Records and graph6 streams stay labeled.
+Records and graph6 streams are checked graph by graph, in edge-mask chunks
+or line chunks.  A summary-only enumeration (n set, keep_records False) is
+one task over isomorphism classes instead: the verdict and every claim are
+invariant under relabelling, so it checks one graph per class and weights
+every count by the class's n!/|Aut| labeled copies.  Its summary is the
+labeled one, violations included.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import multiprocessing
 import os
 import sys
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -186,8 +189,15 @@ class SurveyConfig:
                     f"unknown claim {c!r}; known: {', '.join(CLAIM_NAMES)}")
             if c in self.claims[:k]:
                 raise SurveyConfigError(f"duplicate claim {c!r}")
+        if not isinstance(self.workers, int) or isinstance(self.workers, bool):
+            raise SurveyConfigError(
+                f"workers must be an int, got {type(self.workers).__name__}")
         if self.workers < 1:
             raise SurveyConfigError(f"workers must be >= 1, got {self.workers}")
+        if isinstance(self.graph6_lines, str) \
+                or not isinstance(self.graph6_lines, (Sequence, type(None))):
+            raise SurveyConfigError(f"graph6_lines must be a sequence of lines, "
+                                    f"got {type(self.graph6_lines).__name__}")
         if self.n is not None and self.graph6_lines is not None:
             raise SurveyConfigError("survey takes either n or a graph6 stream, not both")
         if self.n is None and self.graph6_lines is None:
@@ -410,12 +420,27 @@ def verify_claims(g: Graph, verdict: EquilibriumVerdict, claims=CLAIM_NAMES) -> 
 
 
 def _scanned(kind, payload):
-    """(graph, connected, bipartite, equilibrium, witness, line number) for
-    every graph of one task, in enumeration or stream order."""
+    """(graph, connected, bipartite, equilibrium, witness, position, class
+    form, weight) for every graph of one task.  The position is the edge
+    mask or the line number, ascending; a class is given as its canonical
+    form and weighted by its n!/|Aut| labeled copies, every other graph
+    has no form and weight 1."""
+    if kind == "classes":
+        n, progress = payload
+        labelings = math.factorial(n)
+        for bits, aut in _graph_classes(n, progress).items():
+            adj = kernels.triangle_rows(n, bits)
+            if kernels.is_connected(adj):
+                bip = kernels.bipartite_side(adj) >= 0
+                wit = kernels.first_improving_swap(adj)
+                yield (graph_from_adj(n, adj), True, bip, wit is None, wit, None,
+                       CanonicalForm(n, bits), labelings // aut)
+        return
     if kind == "masks":
         n, lo, hi = payload
         for mask, bip, eq, wit in kernels.scan_masks(n, lo, hi):
-            yield graph_from_adj(n, kernels.mask_to_adj(n, mask)), True, bip, eq, wit, None
+            yield (graph_from_adj(n, kernels.mask_to_adj(n, mask)), True, bip, eq, wit, mask,
+                   None, 1)
         return
     for lineno, line in payload:
         try:
@@ -425,40 +450,54 @@ def _scanned(kind, payload):
         connected = kernels.is_connected(g.adj)
         bip = kernels.bipartite_side(g.adj) >= 0
         wit = kernels.first_improving_swap(g.adj) if connected else None
-        yield g, connected, bip, connected and wit is None, wit, lineno
+        yield g, connected, bip, connected and wit is None, wit, lineno, None, 1
 
 
 def _process_chunk(task):
     """One worker unit; returns partial results in enumeration order, with
-    the canonical form of each equilibrium when deduplicating.  graph6 is
-    encoded only for a kept record or a reported violation."""
+    the canonical form of each equilibrium counted when deduplicating.
+    graph6 is encoded only for a kept record or a reported violation.
+
+    A class that violates a claim is checked again on each labeled copy,
+    and every violation is reported at its graph's position, so a class
+    task reports violations as the labeled enumeration does."""
     kind, payload, claims, keep_records, dedup = task
     counts = {c: [0, 0, 0] for c in claims}
-    violations: list = []
+    flagged: list = []  # (position, graph6, (claim, detail)s) of each violator
     records: list | None = [] if keep_records else None
-    eq_forms: list = []
+    eq_forms: Counter = Counter()
     graphs = equilibria = 0
 
-    for g, connected, bip, eq, wit, lineno in _scanned(kind, payload):
-        graphs += 1
+    for g, connected, bip, eq, wit, position, form, weight in _scanned(kind, payload):
+        graphs += weight
         if eq:
-            equilibria += 1
+            equilibria += weight
             if dedup:
                 try:
-                    eq_forms.append(canonical_form(g))
+                    eq_forms[form or canonical_form(g)] += weight
                 except GraphError as err:
                     raise GraphError(
-                        f"graph6 line {lineno} ({encode_graph6(g)}): {err}") from err
+                        f"graph6 line {position} ({encode_graph6(g)}): {err}") from err
         found: list = []
         if connected:
             facts = _Facts(g, eq, bip)
             statuses = _check(facts, claims, found)
         else:
             statuses = dict.fromkeys(claims, NOT_APPLICABLE)
+        if found and form is not None:
+            for mask in _labeled_masks(g.adj):
+                copy = graph_from_adj(g.n, kernels.mask_to_adj(g.n, mask))
+                found = []
+                for c, s in _check(_Facts(copy, eq, bip), claims, found).items():
+                    counts[c][_SLOT[s]] += 1
+                if found:
+                    flagged.append((mask, encode_graph6(copy), found))
+            continue
         for c, s in statuses.items():
-            counts[c][_SLOT[s]] += 1
+            counts[c][_SLOT[s]] += weight
         g6 = encode_graph6(g) if keep_records or found else None
-        violations.extend({"graph6": g6, "claim": c, "detail": d} for c, d in found)
+        if found:
+            flagged.append((position, g6, found))
         if keep_records:
             if connected:
                 cls = facts.cls
@@ -483,79 +522,30 @@ def _process_chunk(task):
                 claims=statuses,
             ))
 
+    flagged.sort(key=lambda f: f[0])
+    violations = [{"graph6": g6, "claim": c, "detail": d}
+                  for _, g6, found in flagged for c, d in found]
     return graphs, equilibria, counts, violations, eq_forms, records
 
 
 def _tasks(config: SurveyConfig):
-    claims = config.claims
-    if config.n is not None:
-        n = config.n
+    n, rest = config.n, (config.claims, config.keep_records, config.dedup)
+    if n is not None and not config.keep_records:
+        yield ("classes", (n, config.progress), *rest)
+    elif n is not None:
         total = 1 << (n * (n - 1) // 2)
         for lo in range(0, total, _CHUNK_MASKS):
-            yield ("masks", (n, lo, min(lo + _CHUNK_MASKS, total)),
-                   claims, config.keep_records, config.dedup)
+            yield ("masks", (n, lo, min(lo + _CHUNK_MASKS, total)), *rest)
     else:
         # (1-based line number, stripped line) for every non-blank line
         lines = [(k, ln.strip()) for k, ln in enumerate(config.graph6_lines, 1)
                  if ln.strip()]
         for k in range(0, len(lines), _CHUNK_LINES):
-            yield ("g6", tuple(lines[k:k + _CHUNK_LINES]),
-                   claims, config.keep_records, config.dedup)
-
-
-def _class_survey(config: SurveyConfig) -> SurveyResult:
-    """The summary of the labeled enumeration, from one check per connected
-    isomorphism class weighted by its n!/|Aut| labeled copies.
-
-    A class that violates a claim is checked again on each labeled copy, in
-    ascending mask order, so violations and their details read as the
-    labeled enumeration reports them."""
-    n, claims = config.n, config.claims
-    summary = SurveySummary(claim_counts={c: [0, 0, 0] for c in claims})
-    classes: list | None = [] if config.dedup else None
-    flagged = []  # (mask, violations) of each violating labeled copy
-    labelings = math.factorial(n)
-    for bits, aut in sorted(_graph_classes(n, config.progress).items()):
-        adj = kernels.triangle_rows(n, bits)
-        if not kernels.is_connected(adj):
-            continue
-        weight = labelings // aut
-        bip = kernels.bipartite_side(adj) >= 0
-        eq = kernels.first_improving_swap(adj) is None
-        g = graph_from_adj(n, adj)
-        summary.graphs += weight
-        if eq:
-            summary.equilibria += weight
-            if classes is not None:
-                classes.append({"graph6": encode_graph6(g), "count": weight})
-        found: list = []
-        statuses = _check(_Facts(g, eq, bip), claims, found)
-        if not found:
-            for c, s in statuses.items():
-                summary.claim_counts[c][_SLOT[s]] += weight
-            continue
-        for mask in _labeled_masks(adj):
-            copy = graph_from_adj(n, kernels.mask_to_adj(n, mask))
-            found = []
-            for c, s in _check(_Facts(copy, eq, bip), claims, found).items():
-                summary.claim_counts[c][_SLOT[s]] += 1
-            if found:
-                g6 = encode_graph6(copy)
-                flagged.append((mask, [{"graph6": g6, "claim": c, "detail": d}
-                                       for c, d in found]))
-    flagged.sort(key=lambda mv: mv[0])
-    summary.violations = [v for _, vs in flagged for v in vs]
-    summary.equilibrium_classes = classes
-    return SurveyResult(None, summary)
+            yield ("g6", tuple(lines[k:k + _CHUNK_LINES]), *rest)
 
 
 def run_survey(config: SurveyConfig) -> SurveyResult:
-    """Run the sweep; results are independent of the worker count.
-
-    A summary-only enumeration takes the class path in this process; every
-    other request enumerates labeled graphs over the worker pool."""
-    if config.n is not None and not config.keep_records:
-        return _class_survey(config)
+    """Run the sweep; results are independent of the worker count."""
     tasks = list(_tasks(config))
     # never more processes than tasks or CPUs
     workers = min(config.workers, len(tasks), os.cpu_count() or 1)

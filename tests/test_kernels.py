@@ -13,7 +13,6 @@ import networkx as nx
 import pytest
 
 import swapeq
-from swapeq import _kernels_py as k
 from swapeq import kernels
 from swapeq.equilibrium import Deviation, is_equilibrium, run_dynamics
 from swapeq.families import complete, complete_bipartite, cycle, path
@@ -100,10 +99,10 @@ def test_distances(case):
     for n, adj, edges in labeled_graphs(case):
         for src in range(n):
             dist = oracle.distances(n, edges, src)
-            assert k.bfs_dists(adj, src) == [neg1(d) for d in dist]
-            assert k.sum_dist(adj, src) == neg1(oracle.sum_distances(n, edges, src))
+            assert kernels.bfs_dists(adj, src) == [neg1(d) for d in dist]
+            assert kernels.sum_dist(adj, src) == neg1(oracle.sum_distances(n, edges, src))
             ecc = None if None in dist else max(dist)
-            assert k.eccentricity(adj, src) == neg1(ecc)
+            assert kernels.eccentricity(adj, src) == neg1(ecc)
 
 
 def oracle_reach(n, edges, src, allowed):
@@ -123,17 +122,17 @@ def test_reach(case):
     for n, adj, edges in labeled_graphs(case):
         full = (1 << n) - 1
         for src in range(n):
-            assert k.reach(adj, src) == oracle_reach(n, edges, src, full)
+            assert kernels.reach(adj, src) == oracle_reach(n, edges, src, full)
             allowed = rng.getrandbits(n)
-            assert k.reach(adj, src, allowed) == oracle_reach(n, edges, src, allowed)
+            assert kernels.reach(adj, src, allowed) == oracle_reach(n, edges, src, allowed)
 
 
 @pytest.mark.parametrize("case", CASES)
 def test_global_properties(case):
     for n, adj, edges in labeled_graphs(case):
-        assert k.is_connected(adj) == oracle.is_connected(n, edges)
-        assert k.diameter(adj) == neg1(oracle.diameter(n, edges))
-        assert (k.bipartite_side(adj) >= 0) == nx_bipartite(n, edges)
+        assert kernels.is_connected(adj) == oracle.is_connected(n, edges)
+        assert kernels.diameter(adj) == neg1(oracle.diameter(n, edges))
+        assert (kernels.bipartite_side(adj) >= 0) == nx_bipartite(n, edges)
 
 
 @pytest.mark.parametrize("case", CASES)
@@ -142,12 +141,12 @@ def test_swaps(case):
         deltas = oracle_deltas(n, edges)
         for (u, v, vp), delta in deltas.items():
             d0 = oracle.sum_distances(n, edges, u)
-            d1 = k.swapped_sum_dist(adj, u, v, vp)
+            d1 = kernels.swapped_sum_dist(adj, u, v, vp)
             assert d1 == (-1 if delta is None else d0 + delta)
         verdict, witness = oracle.equilibrium(n, edges)
-        assert k.first_improving_swap(adj) == witness
+        assert kernels.first_improving_swap(adj) == witness
         assert (witness is None) == verdict
-        assert k.best_swap(adj) == oracle_best(deltas)
+        assert kernels.best_swap(adj) == oracle_best(deltas)
 
 
 @pytest.mark.parametrize("case", CASES)
@@ -174,11 +173,11 @@ def scan_expected(n, lo, hi):
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_scan_masks_full(n):
     total = 1 << (n * (n - 1) // 2)
-    assert k.scan_masks(n, 0, total) == scan_expected(n, 0, total)
+    assert kernels.scan_masks(n, 0, total) == scan_expected(n, 0, total)
 
 
 def test_scan_masks_subrange():
-    assert k.scan_masks(6, 5000, 5400) == scan_expected(6, 5000, 5400)
+    assert kernels.scan_masks(6, 5000, 5400) == scan_expected(6, 5000, 5400)
 
 
 def petersen():
@@ -193,13 +192,12 @@ def count_swaps(mp, key=lambda u, v, vp: u):
     call, inside the kernels and through the kernels module; returns the
     list it appends to."""
     agents = []
-    real = k.swapped_sum_dist
+    real = kernels.swapped_sum_dist
 
     def counting(adj, u, v, vp):
         agents.append(key(u, v, vp))
         return real(adj, u, v, vp)
 
-    mp.setattr(k, "swapped_sum_dist", counting)
     mp.setattr(kernels, "swapped_sum_dist", counting)
     return agents
 
@@ -218,19 +216,19 @@ def pair(u, v, vp):
 
 def far_agents(adj):
     """Agents of eccentricity >= 3: the only ones that can improve."""
-    return {u for u in range(len(adj)) if k.eccentricity(adj, u) >= 3}
+    return {u for u in range(len(adj)) if kernels.eccentricity(adj, u) >= 3}
 
 
 @pytest.mark.parametrize("g6", DIAMETER3_N8)
 def test_diameter3_equilibria_n8(g6, monkeypatch):
     g = parse_graph6(g6)
     edges = list(g.edges)
-    eccs = {k.eccentricity(g.adj, u) for u in range(g.n)}
+    eccs = {kernels.eccentricity(g.adj, u) for u in range(g.n)}
     assert eccs == {2, 3}
     assert oracle.equilibrium(g.n, edges) == (True, None)
     assert oracle_best(oracle_deltas(g.n, edges)) is None
     assert is_equilibrium(g).is_equilibrium
-    for kernel in (k.first_improving_swap, k.best_swap):
+    for kernel in (kernels.first_improving_swap, kernels.best_swap):
         result, agents = scanned_agents(monkeypatch, kernel, g.adj)
         assert result is None
         assert set(agents) == far_agents(g.adj)
@@ -239,8 +237,8 @@ def test_diameter3_equilibria_n8(g6, monkeypatch):
 @pytest.mark.parametrize("g", [complete(4), complete_bipartite(3, 3), petersen()],
                          ids=["K4", "K3,3", "Petersen"])
 def test_diameter2_scans_no_swap(g, monkeypatch):
-    assert k.diameter(g.adj) <= 2
-    for kernel in (k.first_improving_swap, k.best_swap):
+    assert kernels.diameter(g.adj) <= 2
+    for kernel in (kernels.first_improving_swap, kernels.best_swap):
         assert scanned_agents(monkeypatch, kernel, g.adj) == (None, [])
     # Read, per_agent_min still reports a minimum for every agent with a swap.
     verdict = is_equilibrium(g)
@@ -250,7 +248,7 @@ def test_diameter2_scans_no_swap(g, monkeypatch):
 
 def test_mixed_graph_scans_far_agents_only(monkeypatch):
     g = path(5)  # eccentricities 4, 3, 2, 3, 4
-    result, swaps = scanned_agents(monkeypatch, k.best_swap, g.adj, key=pair)
+    result, swaps = scanned_agents(monkeypatch, kernels.best_swap, g.adj, key=pair)
     assert result == oracle_best(oracle_deltas(g.n, list(g.edges)))
     # 1 - A is -3 on (0, 3), (0, 4), (4, 0), (4, 1) and -2 on (0, 2), (4, 2),
     # which are still evaluated: their bound equals the best delta, -2, and
@@ -289,7 +287,7 @@ def test_best_swap_bound(case):
 def test_best_swap_skips_closed_pairs(case, monkeypatch):
     for n, adj, edges in connected_graphs(case):
         dist = oracle_dists(n, edges)
-        _, swaps = scanned_agents(monkeypatch, k.best_swap, adj, key=pair)
+        _, swaps = scanned_agents(monkeypatch, kernels.best_swap, adj, key=pair)
         assert all(add_only_bound(dist, u, vp) >= 2 for u, vp in swaps)
 
 
@@ -300,7 +298,7 @@ def test_best_swap_skips_closed_pairs(case, monkeypatch):
     (sparse_connected(random.Random(16), 16), 5, 454),
 ], ids=["P5", "C6", "sparse16"])
 def test_best_swap_call_count(g, calls, unpruned, monkeypatch):
-    result, swaps = scanned_agents(monkeypatch, k.best_swap, g.adj)
+    result, swaps = scanned_agents(monkeypatch, kernels.best_swap, g.adj)
     assert result == oracle_best(oracle_deltas(g.n, list(g.edges)))
     assert len(swaps) == calls <= unpruned
     assert unpruned == sum(g.adj[u].bit_count() * (g.n - 1 - g.adj[u].bit_count())
@@ -317,7 +315,7 @@ def test_best_swap_on_dynamics_states():
         for s in trace.states:
             deltas = oracle_deltas(s.n, list(s.edges))
             best = oracle_best(deltas)
-            assert k.best_swap(s.adj) == best
+            assert kernels.best_swap(s.adj) == best
             states += 1
             if best is not None:
                 tied += len({(u, vp) for (u, _, vp), d in deltas.items() if d == best[0]}) > 1

@@ -23,7 +23,7 @@ FRONTIER_STEP = re.compile(r"\w+ \|= [\w.]+\[\w+\.bit_length\(\) - 1\]")
 
 
 def test_one_bfs_loop():
-    # every BFS goes through _kernels_py.reach, except the loops that compute
+    # every BFS goes through kernels.reach, except the loops that compute
     # something else: a distance vector, the per-level odd-edge test and the
     # radius-2 ball
     found = {
@@ -34,7 +34,7 @@ def test_one_bfs_loop():
         for node in ast.walk(fn)
         if isinstance(node, ast.AugAssign) and FRONTIER_STEP.fullmatch(ast.unparse(node))
     }
-    assert found == {("_kernels_py.py", name) for name in
+    assert found == {("kernels.py", name) for name in
                      ("reach", "bfs_dists", "bipartite_side", "_reaches_all_in_two")}
 
 
@@ -65,7 +65,7 @@ def test_one_family_simulator():
         if isinstance(node, ast.Call)
         and ast.unparse(node.func).split(".")[-1] in ("swapped_rows", "replace_edge")
     }
-    assert found == {("_kernels_py.py", "swapped_sum_dist"), ("graph.py", "replace_edge"),
+    assert found == {("kernels.py", "swapped_sum_dist"), ("graph.py", "replace_edge"),
                      ("equilibrium.py", "apply_deviation"), ("theory.py", "aggregate_swaps")}
     # and theory keeps nothing from one request to the next
     theory = ast.parse((PACKAGE / "theory.py").read_text())
@@ -96,7 +96,33 @@ def test_one_pair_walk():
         for inner in ast.walk(outer)
         if isinstance(inner, ast.For) and ast.unparse(inner.iter) == f"range({outer.target.id})"
     }
-    assert found == {("_kernels_py.py", "triangle_rows"), ("_kernels_py.py", "triangle_bits")}
+    assert found == {("kernels.py", "triangle_rows"), ("kernels.py", "triangle_bits")}
+
+
+def test_check_called_by_one_survey_loop():
+    # claims are counted and reported in one loop: a summary-only survey is a
+    # task of _process_chunk, not a second engine
+    found = {
+        (path.name, fn.name)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for fn in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(fn, ast.FunctionDef)
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] == "_check"
+    }
+    assert found == {("survey.py", "_process_chunk"), ("survey.py", "verify_claims")}
+
+
+def test_no_reexport_modules():
+    # every module but the package's own defines a function or a class
+    found = [
+        path.name
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "__init__.py"
+        and not any(isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    for node in ast.parse(path.read_text(), str(path)).body)
+    ]
+    assert sorted(PACKAGE.glob("*.py")) and found == []
 
 
 def test_report_header_written_once():

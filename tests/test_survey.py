@@ -302,18 +302,23 @@ class TestRunSurvey:
         run_survey(SurveyConfig(n=5, keep_records=False, progress=True))
         assert capsys.readouterr().err.splitlines() == [
             "survey: level 2/5, 2 classes", "survey: level 3/5, 4 classes",
-            "survey: level 4/5, 11 classes", "survey: level 5/5, 34 classes"]
+            "survey: level 4/5, 11 classes", "survey: level 5/5, 34 classes",
+            "survey: chunk 1/1"]
 
-    @pytest.mark.parametrize("n", [4, 5])
-    def test_class_path_reports_labeled_violations(self, monkeypatch, n):
-        # a claim that fails on every equilibrium with a pendant vertex and
-        # names the lowest such label: whether it fails does not depend on
-        # the labels, but its text does
-        def pendant(f):
-            ends = [v for v in range(f.g.n) if f.g.degree(v) == 1]
-            return f"pendant vertex {ends[0]}" if ends else None
+    @pytest.mark.parametrize("n, degree", [
+        (4, "pendant"), (5, "pendant"), (4, "universal"), (5, "universal"),
+    ], ids=["4", "5", "4-universal", "5-universal"])
+    def test_class_path_reports_labeled_violations(self, monkeypatch, n, degree):
+        # a claim that fails on every equilibrium with a pendant (universal)
+        # vertex and names the lowest such label: whether it fails does not
+        # depend on the labels, but its text does.  K_n has universal
+        # vertices, one labeled copy and the largest mask of all.
+        def detail(f):
+            d = {"pendant": 1, "universal": f.g.n - 1}[degree]
+            ends = [v for v in range(f.g.n) if f.g.degree(v) == d]
+            return f"{degree} vertex {ends[0]}" if ends else None
 
-        monkeypatch.setitem(survey._CLAIMS, "bridge_degree", (lambda f: f.eq, pendant))
+        monkeypatch.setitem(survey._CLAIMS, "bridge_degree", (lambda f: f.eq, detail))
         labeled = run_survey(SurveyConfig(n=n)).summary
         classes = run_survey(SurveyConfig(n=n, keep_records=False)).summary
         assert len({v["detail"] for v in labeled.violations}) > 1
@@ -347,8 +352,11 @@ class TestRunSurvey:
         ({"n": 4, "claims": ("tree_star", "tree_star")}, "duplicate claim 'tree_star'"),
         ({"n": 4, "workers": 0}, "workers must be >= 1, got 0"),
         ({"graph6_lines": ("Bw",), "workers": -2}, "workers must be >= 1, got -2"),
+        ({"n": 4, "workers": "2"}, "workers must be an int, got str"),
+        ({"n": 4, "workers": 2.5}, "workers must be an int, got float"),
+        ({"graph6_lines": "C~"}, "graph6_lines must be a sequence of lines, got str"),
     ], ids=["n9", "n2", "no-source", "two-sources", "unknown-claim", "duplicate-claim",
-            "workers0", "workers-2"])
+            "workers0", "workers-2", "workers-str", "workers-float", "graph6-str"])
     def test_config_checked_when_made(self, kwargs, message):
         # the config is the one place a survey request is checked
         with pytest.raises(SurveyConfigError) as err:
@@ -460,13 +468,16 @@ class TestVerifyClaims:
 
 
 class TestDeterminism:
-    @pytest.mark.parametrize("n,workers,cpus,pools", [
-        (6, 5000, 2, [2]), (6, 1, 2, []), (5, 8, 2, []), (6, 5000, 1, []), (6, 5000, None, []),
-    ], ids=["6-5000-pools0", "6-1-pools1", "5-8-pools2", "6-5000-cpus1", "6-5000-cpus-unknown"])
-    def test_pool_sized_by_tasks(self, monkeypatch, n, workers, cpus, pools):
+    @pytest.mark.parametrize("n,workers,cpus,pools,keep_records", [
+        (6, 5000, 2, [2], True), (6, 1, 2, [], True), (5, 8, 2, [], True),
+        (6, 5000, 1, [], True), (6, 5000, None, [], True), (6, 5000, 2, [], False),
+    ], ids=["6-5000-pools0", "6-1-pools1", "5-8-pools2", "6-5000-cpus1", "6-5000-cpus-unknown",
+            "6-5000-classes"])
+    def test_pool_sized_by_tasks(self, monkeypatch, n, workers, cpus, pools, keep_records):
         # a stand-in Pool records its size and runs the tasks here, so no
-        # process is started; n=6 is 2 chunks of masks, n=5 one; the pool
-        # never outnumbers the CPUs (None: the count is unknown, so one)
+        # process is started; n=6 is 2 chunks of masks, n=5 one, and a
+        # summary-only survey one task of classes; the pool never
+        # outnumbers the CPUs (None: the count is unknown, so one)
         monkeypatch.setattr(survey.os, "cpu_count", lambda: cpus)
         sizes = []
 
@@ -484,7 +495,8 @@ class TestDeterminism:
                 return map(fn, tasks)
 
         monkeypatch.setattr(survey, "multiprocessing", types.SimpleNamespace(Pool=StandInPool))
-        result = run_survey(SurveyConfig(n=n, claims=(), keep_records=True, workers=workers))
+        result = run_survey(
+            SurveyConfig(n=n, claims=(), keep_records=keep_records, workers=workers))
         assert sizes == pools
         assert result.summary.graphs == {5: 728, 6: 26704}[n]
 
