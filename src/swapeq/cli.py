@@ -25,6 +25,8 @@ from .survey import (
 )
 from .theory import (
     aggregate_swaps,
+    check_inequalities,
+    closed_form_shift,
     layer_profile,
     strict_witness,
 )
@@ -153,7 +155,7 @@ def _cmd_theory(args) -> int:
         for u, v in pairs:
             row = {"observer": w, "agent": u, "dropped": v, "simulated": agg.shifts[(w, u, v)]}
             if bip:
-                row["closed_form"] = profiles[w].closed_form(u, v)
+                row["closed_form"] = closed_form_shift(profiles[w], u, v)
             rows.append(row)
     payload["shifts"] = rows
     payload["per_observer"] = {str(w): agg.per_observer[w] for w in observers}
@@ -162,10 +164,11 @@ def _cmd_theory(args) -> int:
     if bip:
         # each report's fields in order, without its ratio cases
         payload["inequalities"] = [
-            {k: v for k, v in vars(profiles[w].inequalities(agg)).items() if k != "ratio_cases"}
+            {k: v for k, v in vars(check_inequalities(profiles[w], agg)).items()
+             if k != "ratio_cases"}
             for w in observers
         ]
-        wit = strict_witness(g, comp, agg)
+        wit = strict_witness(g, agg)
         payload["strict_witness"] = None if wit is None else vars(wit)
     _emit(payload, "json", args.out)
     return 0
@@ -191,10 +194,6 @@ def _cmd_survey(args) -> int:
         raise CliError("--claims names no claim")
     if (args.n is None) == (args.g6 is None):
         raise CliError("survey needs exactly one of --n or --g6")
-    if args.n == 8 and not args.allow_n8:
-        raise CliError(
-            "--n 8 scans 2^28 edge masks (minutes to hours); "
-            "pass --allow-n8 to confirm")
     lines = None
     if args.g6 is not None:
         try:
@@ -207,7 +206,7 @@ def _cmd_survey(args) -> int:
         claims=claims,
         dedup=args.dedup,
         workers=args.workers,
-        progress=args.progress or args.n == 8,
+        progress=args.progress,
     )
     result = run_survey(config)
     _emit(survey_report(result, config), args.format, args.out)
@@ -251,7 +250,7 @@ def _parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_dynamics)
 
     p = sub.add_parser("survey", help="exhaustive sweep with claim checks")
-    p.add_argument("--n", type=int, default=None, help="vertex count (3..8)")
+    p.add_argument("--n", type=int, default=None, help="vertex count (3..7)")
     p.add_argument("--g6", default=None, help="graph6 file, one graph per line")
     p.add_argument("--claims", default="all",
                    help="comma-separated claim list (default all)")
@@ -262,8 +261,6 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--dedup", action="store_true",
                    help="summarise equilibrium isomorphism classes")
     p.add_argument("--progress", action="store_true")
-    p.add_argument("--allow-n8", action="store_true",
-                   help="confirm the long-running n=8 scan")
     p.set_defaults(func=_cmd_survey)
 
     return top

@@ -173,7 +173,6 @@ class Classification:
     cactus: bool
 
 
-@lru_cache(maxsize=2048)
 def classify(g: Graph) -> Classification:
     """Recognize the graph classes the structural results quantify over."""
     blocks = decompose(g).bcc  # raises DisconnectedError on a disconnected g

@@ -204,6 +204,9 @@ class SurveyConfig:
             raise SurveyConfigError("survey needs either n or a graph6 stream")
         if self.n is not None and not (isinstance(self.n, int) and 3 <= self.n <= 8):
             raise SurveyConfigError(f"survey n must be in 3..8, got {self.n}")
+        if self.n == 8 and self.keep_records:
+            raise SurveyConfigError("n=8 with records would hold 251,548,592 records; "
+                                    "use the summary-only survey (keep_records=False)")
 
 
 @dataclass(frozen=True)

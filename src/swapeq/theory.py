@@ -6,12 +6,16 @@ over the other H-neighbours v' of v.  The *shift* of the pair is the average
 change of d(u, w) over that family; summing shifts over all pairs gives the
 per-observer total, and summing full cost differences the same way gives the
 grand total, which must coincide with the sum of the per-observer totals.
-On bipartite graphs the shift has a closed form in terms of the sets of
-H-neighbours one step closer / farther from the observer.
+On a bipartite component the shift has a closed form in terms of the sets
+of H-neighbours one step closer / farther from the observer.
 
-aggregate_swaps is the one simulator: it builds every deviated graph of
-every family.  The closed form is tested against it, and it is tested
-against the independent brute-force oracle in tests/oracle.py.
+Each answer is one function that checks its own arguments.  aggregate_swaps
+is the one simulator: it builds every deviated graph of every family.
+layer_profile gives plain data for one observer, and is where the closed form
+and the inequality chain check bipartiteness, of the component only;
+closed_form_shift checks its edge and check_inequalities its aggregate.  The
+closed form is tested against the simulator, and the simulator against the
+independent brute-force oracle in tests/oracle.py.
 
 All values are exact rationals: the family averages divide by deg_H(v) - 1,
 and sign decisions must not round.
@@ -45,23 +49,18 @@ def _validate_tecc(g: Graph, component) -> frozenset[int]:
     return comp
 
 
-def _require_bipartite(g: Graph) -> None:
-    if kernels.bipartite_side(g.adj) < 0:
-        raise NotBipartiteError("operation requires a bipartite graph")
-
-
 def _h_neighbors(g: Graph, comp: frozenset[int], u: int) -> list[int]:
     return [v for v in g.neighbors(u) if v in comp]
 
 
 @dataclass(frozen=True)
 class LayerProfile:
-    """Per-observer layer structure of a component.
+    """Per-observer layer structure of a bipartite component.
 
     closer[u] / farther[u]: H-neighbours of u one step closer / farther from
-    the observer.  entry: the unique H-vertex whose closer-set is empty (the
-    vertex through which the observer sees H).  mixed: H-vertices with both
-    sets nonempty.
+    the observer; together they are all of u's H-neighbours.  entry: the
+    unique H-vertex whose closer-set is empty (the vertex through which the
+    observer sees H).  mixed: H-vertices with both sets nonempty.
     """
 
     component: frozenset[int]
@@ -71,91 +70,45 @@ class LayerProfile:
     entry: int
     mixed: frozenset[int]
 
-    def closed_form(self, agent: int, dropped: int) -> Fraction:
-        """closed_form_shift for this observer, read off the profile.
-
-        The graph must be bipartite, so deg_H(dropped) is |closer| + |farther|,
-        and {agent, dropped} an edge of the component with deg_H(dropped) >= 2.
-        """
-        if dropped not in self.closer[agent]:
-            return Fraction(0)
-        down, up = len(self.closer[dropped]), len(self.farther[dropped])
-        num = up - down - 1 if len(self.closer[agent]) == 1 else -down
-        return Fraction(num, down + up - 1)
-
-    def inequalities(self, aggregate: SwapAggregate) -> InequalityReport:
-        """check_inequalities for this observer, given the component's
-        aggregate_swaps.  The graph must be bipartite: unlike
-        check_inequalities, this checks only that the aggregate is this
-        component's."""
-        if aggregate.component != self.component:
-            raise ComponentError("aggregate belongs to another component")
-        degs = {u: len(self.closer[u]) + len(self.farther[u]) for u in self.component}
-
-        down_mass = Fraction(0)
-        for v in self.mixed:
-            down_mass += Fraction(len(self.closer[v]) * len(self.farther[v]), degs[v] - 1)
-        z_count = len(self.mixed)
-
-        cases = []
-        up_mass = Fraction(0)
-        for u in sorted(self.component):
-            if len(self.closer[u]) != 1:
-                continue
-            x = next(iter(self.closer[u]))
-            ratio = Fraction(len(self.farther[x]) - 1, degs[x] - 1)
-            up_mass += ratio
-            cases.append(RatioCase(u, x, ratio, ratio == 1, x == self.entry))
-        single_down_count = len(cases)
-
-        observer_total = aggregate.per_observer[self.observer]
-        bound = Fraction(single_down_count - z_count)
-        return InequalityReport(
-            observer=self.observer,
-            down_mass=down_mass,
-            z_count=z_count,
-            down_tight=down_mass == z_count,
-            ratio_cases=tuple(cases),
-            up_mass=up_mass,
-            single_down_count=single_down_count,
-            up_tight=up_mass == single_down_count,
-            formula_total=up_mass - down_mass,
-            observer_total=observer_total,
-            bound=bound,
-            final_bound_holds=observer_total <= bound <= 0,
-        )
-
 
 def layer_profile(g: Graph, component, w: int) -> LayerProfile:
+    """The layers of component as seen from w.  Distances from w to H are
+    d(w, entry) + d_H(entry, .), so every H-edge joins two layers unless H has
+    an odd cycle: then NotBipartiteError, whatever the rest of g is."""
     comp = _validate_tecc(g, component)
     g.check_vertex(w)
     dw = kernels.bfs_dists(g.adj, w)
     closer = {}
     farther = {}
+    level_edge = False
     for u in sorted(comp):
         nbrs = _h_neighbors(g, comp, u)
         closer[u] = frozenset(v for v in nbrs if dw[v] == dw[u] - 1)
         farther[u] = frozenset(v for v in nbrs if dw[v] == dw[u] + 1)
+        level_edge = level_edge or len(closer[u]) + len(farther[u]) < len(nbrs)
     entry = min(comp, key=lambda u: (dw[u], u))
     if [u for u in comp if not closer[u]] != [entry]:
         raise AssertionError("entry vertex must be the unique one with no closer neighbour")
     if w not in pendant_world(g, comp, entry):
         raise AssertionError("observer must live in the entry's world")
+    if level_edge:
+        raise NotBipartiteError(f"component {sorted(comp)} is not bipartite")
     mixed = frozenset(u for u in comp if closer[u] and farther[u])
     return LayerProfile(comp, w, closer, farther, entry, mixed)
 
 
-def closed_form_shift(g: Graph, component, w: int, agent: int, dropped: int) -> Fraction:
-    """Average change of d(agent, w) over the swap family, by the bipartite
-    three-case formula (no deviated graphs are built)."""
-    _require_bipartite(g)
-    prof = layer_profile(g, component, w)
-    comp = prof.component
-    if agent not in comp or dropped not in comp or not g.has_edge(agent, dropped):
-        raise ComponentError("agent and dropped must be adjacent vertices of the component")
-    if len(_h_neighbors(g, comp, dropped)) < 2:
-        raise ComponentError("dropped vertex needs a second neighbour inside the component")
-    return prof.closed_form(agent, dropped)
+def closed_form_shift(profile: LayerProfile, agent: int, dropped: int) -> Fraction:
+    """Average change of d(agent, observer) over the swap family of the
+    component edge {agent, dropped}, by the bipartite three-case formula (no
+    deviated graphs are built).  The edge lies on a cycle of the bridgeless
+    component, so deg_H(dropped) >= 2 and the family is never empty."""
+    if dropped not in profile.closer.get(agent, ()):
+        if dropped not in profile.farther.get(agent, ()):
+            raise ComponentError("agent and dropped must be adjacent vertices of the component")
+        return Fraction(0)
+    down, up = len(profile.closer[dropped]), len(profile.farther[dropped])
+    num = up - down - 1 if len(profile.closer[agent]) == 1 else -down
+    return Fraction(num, down + up - 1)
 
 
 @dataclass(frozen=True)
@@ -294,16 +247,46 @@ class InequalityReport:
     final_bound_holds: bool
 
 
-def check_inequalities(g: Graph, component, w: int) -> InequalityReport:
-    """Evaluate both sides of every inequality in the nonpositivity argument.
+def check_inequalities(profile: LayerProfile, aggregate: SwapAggregate) -> InequalityReport:
+    """Evaluate both sides of every inequality in the nonpositivity argument
+    for the profile's observer.  aggregate must be aggregate_swaps of the
+    profile's component."""
+    if aggregate.component != profile.component:
+        raise ComponentError("aggregate belongs to another component")
+    degs = {u: len(profile.closer[u]) + len(profile.farther[u]) for u in profile.component}
 
-    Validates its input: g must be bipartite, component one of its
-    2-edge-connected components and w a vertex.  The report is
-    layer_profile(g, component, w).inequalities(aggregate_swaps(g, component)).
-    """
-    _require_bipartite(g)
-    prof = layer_profile(g, component, w)
-    return prof.inequalities(aggregate_swaps(g, prof.component))
+    down_mass = Fraction(0)
+    for v in profile.mixed:
+        down_mass += Fraction(len(profile.closer[v]) * len(profile.farther[v]), degs[v] - 1)
+    z_count = len(profile.mixed)
+
+    cases = []
+    up_mass = Fraction(0)
+    for u in sorted(profile.component):
+        if len(profile.closer[u]) != 1:
+            continue
+        x = next(iter(profile.closer[u]))
+        ratio = Fraction(len(profile.farther[x]) - 1, degs[x] - 1)
+        up_mass += ratio
+        cases.append(RatioCase(u, x, ratio, ratio == 1, x == profile.entry))
+    single_down_count = len(cases)
+
+    observer_total = aggregate.per_observer[profile.observer]
+    bound = Fraction(single_down_count - z_count)
+    return InequalityReport(
+        observer=profile.observer,
+        down_mass=down_mass,
+        z_count=z_count,
+        down_tight=down_mass == z_count,
+        ratio_cases=tuple(cases),
+        up_mass=up_mass,
+        single_down_count=single_down_count,
+        up_tight=up_mass == single_down_count,
+        formula_total=up_mass - down_mass,
+        observer_total=observer_total,
+        bound=bound,
+        final_bound_holds=observer_total <= bound <= 0,
+    )
 
 
 @dataclass(frozen=True)
@@ -312,23 +295,17 @@ class StrictWitness:
     shift_total: Fraction  # strictly negative
 
 
-def strict_witness(
-    g: Graph, component, aggregate: SwapAggregate | None = None
-) -> StrictWitness | None:
+def strict_witness(g: Graph, aggregate: SwapAggregate) -> StrictWitness | None:
     """An observer with strictly negative per-observer total, whenever the
     component's diameter exceeds 2 (bipartite graphs).
 
-    The observer is the lexicographically first endpoint of a diametral pair
-    (it belongs to its own pendant world).  Returns None when the diameter
-    is at most 2.  aggregate, when given, must be aggregate_swaps(g, component);
-    otherwise it is computed here.
+    aggregate is aggregate_swaps(g, component).  The observer is the
+    lexicographically first endpoint of a diametral pair (it belongs to its
+    own pendant world).  Returns None when the diameter is at most 2.
     """
-    _require_bipartite(g)
-    comp = _validate_tecc(g, component)
-    if aggregate is None:
-        aggregate = aggregate_swaps(g, comp)
-    elif aggregate.component != comp:
-        raise ComponentError("aggregate belongs to another component")
+    if kernels.bipartite_side(g.adj) < 0:
+        raise NotBipartiteError("strict_witness requires a bipartite graph")
+    _validate_tecc(g, aggregate.component)
     diam, endpoint = aggregate.diameter, aggregate.diameter_endpoint
     if diam <= 2:
         return None
@@ -339,4 +316,3 @@ def strict_witness(
             f"(observer {endpoint}, total {total}) — reportable finding"
         )
     return StrictWitness(endpoint, total)
-

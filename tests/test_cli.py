@@ -346,8 +346,13 @@ class TestSurvey:
     def test_n9_rejected(self, capsys):
         assert run(["survey", "--n", "9"]) == 2
 
-    def test_n8_needs_confirmation(self):
+    def test_n8_refused(self, capsys):
+        # one record per graph would be 251,548,592 records; the CLI keeps records
         assert run(["survey", "--n", "8"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == ("error: n=8 with records would hold 251,548,592 records; "
+                                "use the summary-only survey (keep_records=False)\n")
+        assert captured.out == ""
 
     def test_workers_flag(self, tmp_path, capsys):
         reports = {}

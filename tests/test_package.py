@@ -1,10 +1,14 @@
 """Properties of the package source itself."""
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "swapeq"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "swapeq"
 
 
 def test_no_assert_statements():
@@ -134,3 +138,45 @@ def test_report_header_written_once():
         if isinstance(node, ast.Constant) and node.value in ("tool_version", "schema_version")
     }
     assert found == {("io.py", "tool_version"), ("io.py", "schema_version")}
+
+
+def test_one_entry_point_per_theory_answer():
+    # the closed form and the inequality chain are the module functions
+    # closed_form_shift and check_inequalities; LayerProfile is data
+    tree = ast.parse((PACKAGE / "theory.py").read_text())
+    found = [
+        (cls.name, fn.name)
+        for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+        for fn in cls.body
+        if isinstance(fn, ast.FunctionDef) and fn.name in ("closed_form", "inequalities")
+    ]
+    assert found == []
+    top = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+    assert {"closed_form_shift", "check_inequalities", "strict_witness"} <= top
+
+
+def test_decompose_is_the_one_cached_structure():
+    # classify runs once per survey graph and once per analyze request, so
+    # only decompose, which several claims share, keeps a process-wide cache
+    tree = ast.parse((PACKAGE / "structure.py").read_text())
+    cached = [
+        fn.name
+        for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+        for dec in fn.decorator_list
+        if "cache" in ast.unparse(dec)
+    ]
+    assert cached == ["decompose"]
+
+
+def test_readme_quick_start_runs():
+    # README's library example runs as printed, so an API change cannot
+    # leave it stale
+    block = re.search(r"## Library quick start\n\n```python\n(.*?)```",
+                      (ROOT / "README.md").read_text(), re.S).group(1)
+    out = subprocess.run([sys.executable, "-c", block], check=True, capture_output=True,
+                         text=True, env={**os.environ, "PYTHONPATH": str(ROOT / "src")}).stdout
+    assert out.splitlines() == [
+        "(Deviation(agent=0, drop=1, add=2), -1)",
+        "-12",
+        "StrictWitness(observer=0, shift_total=Fraction(-2, 1))",
+    ]

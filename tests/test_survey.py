@@ -200,11 +200,6 @@ _CONNECTED = [1, 1, 2, 6, 21, 112, 853, 11_117]
 _LABELED_CONNECTED = [1, 1, 4, 38, 728, 26_704, 1_866_256, 251_548_592]
 
 
-@pytest.fixture(scope="module")
-def graph_classes():
-    return {n: survey._graph_classes(n) for n in range(1, 9)}
-
-
 def _vf2_automorphisms(g):
     h = _to_nx(g)
     return sum(1 for _ in nx.algorithms.isomorphism.GraphMatcher(h, h).isomorphisms_iter())
@@ -355,8 +350,11 @@ class TestRunSurvey:
         ({"n": 4, "workers": "2"}, "workers must be an int, got str"),
         ({"n": 4, "workers": 2.5}, "workers must be an int, got float"),
         ({"graph6_lines": "C~"}, "graph6_lines must be a sequence of lines, got str"),
+        ({"n": 8}, "n=8 with records would hold 251,548,592 records; "
+                   "use the summary-only survey (keep_records=False)"),
     ], ids=["n9", "n2", "no-source", "two-sources", "unknown-claim", "duplicate-claim",
-            "workers0", "workers-2", "workers-str", "workers-float", "graph6-str"])
+            "workers0", "workers-2", "workers-str", "workers-float", "graph6-str",
+            "n8-records"])
     def test_config_checked_when_made(self, kwargs, message):
         # the config is the one place a survey request is checked
         with pytest.raises(SurveyConfigError) as err:

@@ -6,10 +6,12 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import networkx as nx
 import pytest
 
+from swapeq import kernels
 from swapeq.families import complete, complete_bipartite, cycle
-from swapeq.graph import build_graph
+from swapeq.graph import build_graph, graph_from_adj
 from swapeq.structure import decompose
 from swapeq.survey import enumerate_labeled_connected
 from swapeq.theory import (
@@ -52,6 +54,19 @@ class TestLayerProfile:
     def test_not_a_component(self):
         with pytest.raises(ComponentError):
             layer_profile(C4, {0, 1}, 0)
+
+    def test_odd_cycle_rejected(self):
+        for w in range(5):
+            with pytest.raises(NotBipartiteError, match=r"component \[0, 1, 2, 3, 4\]"):
+                layer_profile(cycle(5), range(5), w)
+
+    def test_odd_component_rejected_even_one_kept(self):
+        # the check is the component's: C4 and K3 joined by the bridge 3-4
+        g = build_graph(7, [(0, 1), (1, 2), (2, 3), (3, 0), (3, 4), (4, 5), (5, 6), (6, 4)])
+        for w in range(g.n):
+            with pytest.raises(NotBipartiteError):
+                layer_profile(g, {4, 5, 6}, w)
+            assert layer_profile(g, {0, 1, 2, 3}, w).entry == (3 if w >= 4 else w)
 
     def test_bipartite_dichotomy(self):
         # on bipartite graphs every in-component neighbour is closer or farther
@@ -114,9 +129,20 @@ for name, fake, fn, args in cases:
 
 class TestShifts:
     def test_c4_closed_form_cases(self):
-        assert closed_form_shift(C4, H4, 0, 1, 0) == 1
-        assert closed_form_shift(C4, H4, 0, 2, 1) == -1
-        assert closed_form_shift(C4, H4, 0, 0, 1) == 0
+        prof = layer_profile(C4, H4, 0)
+        assert closed_form_shift(prof, 1, 0) == 1
+        assert closed_form_shift(prof, 2, 1) == -1
+        assert closed_form_shift(prof, 0, 1) == 0
+
+    @pytest.mark.parametrize("agent, dropped", [(0, 2), (1, 3), (2, 2), (4, 0), (0, 4), (5, 6)],
+                             ids=["diagonal-0-2", "diagonal-1-3", "loop", "pendant-agent",
+                                  "pendant-dropped", "outside"])
+    def test_closed_form_needs_component_edge(self, agent, dropped):
+        # C4 with the pendant edge 0-4: only the four cycle edges are families
+        g = build_graph(5, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4)])
+        prof = layer_profile(g, H4, 4)
+        with pytest.raises(ComponentError, match="adjacent vertices of the component"):
+            closed_form_shift(prof, agent, dropped)
 
     def test_c4_simulated(self):
         shifts = aggregate_swaps(C4, H4).shifts
@@ -127,7 +153,7 @@ class TestShifts:
     def test_requires_bipartite(self):
         g = cycle(5)
         with pytest.raises(NotBipartiteError):
-            closed_form_shift(g, frozenset(range(5)), 0, 1, 0)
+            layer_profile(g, frozenset(range(5)), 0)
         # the simulator has no bipartite precondition
         assert aggregate_swaps(g, frozenset(range(5))).shifts[(0, 1, 0)] == Fraction(1)
 
@@ -136,9 +162,10 @@ class TestShifts:
         comp = frozenset(range(5))
         shifts = aggregate_swaps(g, comp).shifts
         for w in range(5):
+            prof = layer_profile(g, comp, w)
             for u in range(5):
                 for v in g.neighbors(u):
-                    assert closed_form_shift(g, comp, w, u, v) == shifts[(w, u, v)]
+                    assert closed_form_shift(prof, u, v) == shifts[(w, u, v)]
 
 
 class TestAggregate:
@@ -204,7 +231,7 @@ class TestAggregate:
 
 class TestInequalities:
     def test_c4_observer_0(self):
-        rep = check_inequalities(C4, H4, 0)
+        rep = check_inequalities(layer_profile(C4, H4, 0), aggregate_swaps(C4, H4))
         assert rep.down_mass == 2 and rep.z_count == 2 and rep.down_tight
         assert rep.up_mass == 2 and rep.single_down_count == 2 and rep.up_tight
         assert rep.bound == 0 and rep.final_bound_holds
@@ -214,18 +241,11 @@ class TestInequalities:
     def test_tight_iff_via_entry(self):
         for g in [C4, cycle(6), complete_bipartite(2, 3), complete_bipartite(3, 3)]:
             comp = cyclic_components(g)[0]
+            agg = aggregate_swaps(g, comp)
             for w in range(g.n):
-                rep = check_inequalities(g, comp, w)
+                rep = check_inequalities(layer_profile(g, comp, w), agg)
                 for case in rep.ratio_cases:
                     assert case.tight == case.via_is_entry
-
-    def test_given_profile(self):
-        # the profile's method on the component's aggregate is check_inequalities
-        g = build_graph(7, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (0, 6)])
-        comp = frozenset(range(6))
-        agg = aggregate_swaps(g, comp)
-        for w in range(g.n):
-            assert layer_profile(g, comp, w).inequalities(agg) == check_inequalities(g, comp, w)
 
     def test_bound_holds_on_sample(self):
         rng = random.Random(12)
@@ -237,7 +257,7 @@ class TestInequalities:
             for comp in cyclic_components(g):
                 agg = aggregate_swaps(g, comp)
                 for w in range(g.n):
-                    rep = layer_profile(g, comp, w).inequalities(agg)
+                    rep = check_inequalities(layer_profile(g, comp, w), agg)
                     assert rep.final_bound_holds
                     assert rep.formula_total == rep.observer_total
                     checked += 1
@@ -245,27 +265,71 @@ class TestInequalities:
 
 
 def is_bip(g):
-    from swapeq.kernels import bipartite_side
+    return kernels.bipartite_side(g.adj) >= 0
 
-    return bipartite_side(g.adj) >= 0
+
+def test_bipartite_component_of_odd_graph(graph_classes):
+    """The closed form and the inequality chain read only the component: on
+    every connected class with n <= 8 that has an odd cycle and a bipartite
+    cyclic component, the closed form equals the simulator on every triple
+    and every inequality report holds, while each odd cyclic component of
+    those graphs is rejected at every observer."""
+    found = []
+    triples = reports = rejected = 0
+    for n, level in graph_classes.items():
+        for bits in level:
+            rows = kernels.triangle_rows(n, bits)
+            if not kernels.is_connected(rows) or kernels.bipartite_side(rows) >= 0:
+                continue
+            g = graph_from_adj(n, rows)
+            comps = cyclic_components(g)
+            # every cycle lies in one component, so one cyclic component is odd
+            if len(comps) < 2:
+                continue
+            even = [c for c in comps
+                    if nx.is_bipartite(nx.Graph([e for e in g.edges if set(e) <= c]))]
+            if not even:
+                continue
+            found.append(n)
+            for comp in comps:
+                if comp not in even:
+                    for w in range(n):
+                        with pytest.raises(NotBipartiteError):
+                            layer_profile(g, comp, w)
+                        rejected += 1
+                    continue
+                agg = aggregate_swaps(g, comp)
+                for w in range(n):
+                    prof = layer_profile(g, comp, w)
+                    for u, v in agg.families:
+                        assert closed_form_shift(prof, u, v) == agg.shifts[(w, u, v)], \
+                            (n, bits, w, u, v)
+                        triples += 1
+                    rep = check_inequalities(prof, agg)
+                    assert rep.final_bound_holds, (n, bits, w)
+                    assert rep.formula_total == rep.observer_total, (n, bits, w)
+                    reports += 1
+    assert sorted(found) == [7] + [8] * 11
+    assert (triples, reports, rejected) == (824, 95, 95)
 
 
 class TestStrictWitness:
     def test_c4_absent(self):
-        assert strict_witness(C4, H4) is None
+        assert strict_witness(C4, aggregate_swaps(C4, H4)) is None
 
     @pytest.mark.parametrize("k", [6, 8, 10])
     def test_even_cycles(self, k):
-        wit = strict_witness(cycle(k), frozenset(range(k)))
+        g = cycle(k)
+        wit = strict_witness(g, aggregate_swaps(g, frozenset(range(k))))
         assert wit is not None and wit.shift_total < 0
 
     def test_pendant_component(self):
         g = build_graph(7, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (0, 6)])
         comp = frozenset(range(6))
-        assert aggregate_swaps(g, comp).diameter == 3
-        wit = strict_witness(g, comp)
-        assert wit is not None and wit.shift_total < 0
         agg = aggregate_swaps(g, comp)
+        assert agg.diameter == 3
+        wit = strict_witness(g, agg)
+        assert wit is not None and wit.shift_total < 0
         assert agg.per_observer[wit.observer] == wit.shift_total
 
     @pytest.mark.parametrize("g, comp", [
@@ -275,16 +339,35 @@ class TestStrictWitness:
         (build_graph(7, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (0, 6)]),
          frozenset(range(6))),
     ])
-    def test_reuses_aggregate(self, g, comp):
+    def test_reuses_aggregate(self, g, comp, monkeypatch):
+        # the witness is read off the aggregate it is given: no swap is
+        # simulated and no distance vector computed again
         agg = aggregate_swaps(g, comp)
-        assert strict_witness(g, comp, agg) == strict_witness(g, comp)
+
+        def refuse(*args):
+            raise AssertionError("strict_witness simulated a swap")
+
+        monkeypatch.setattr(kernels, "swapped_rows", refuse)
+        monkeypatch.setattr(kernels, "bfs_dists", refuse)
+        wit = strict_witness(g, agg)
+        if agg.diameter <= 2:
+            assert wit is None
+        else:
+            end = agg.diameter_endpoint
+            assert (wit.observer, wit.shift_total) == (end, agg.per_observer[end])
 
     def test_foreign_aggregate(self):
         g = build_graph(8, [(0, 1), (1, 2), (2, 3), (3, 0), (3, 4),
                             (4, 5), (5, 6), (6, 7), (7, 4)])
         first, second = cyclic_components(g)
-        with pytest.raises(ComponentError):
-            strict_witness(g, second, aggregate_swaps(g, first))
-        with pytest.raises(ComponentError):
-            layer_profile(g, second, 0).inequalities(aggregate_swaps(g, first))
+        with pytest.raises(ComponentError, match="another component"):
+            check_inequalities(layer_profile(g, second, 0), aggregate_swaps(g, first))
+        # an aggregate of a component that g does not have
+        with pytest.raises(ComponentError, match="not a 2-edge-connected component"):
+            strict_witness(g, aggregate_swaps(cycle(6), frozenset(range(6))))
+
+    def test_requires_bipartite_graph(self):
+        g = build_graph(7, [(0, 1), (1, 2), (2, 3), (3, 0), (3, 4), (4, 5), (5, 6), (6, 4)])
+        with pytest.raises(NotBipartiteError):
+            strict_witness(g, aggregate_swaps(g, {0, 1, 2, 3}))
 
