@@ -7,9 +7,10 @@ that to the public INF value.
 
 ``reach`` is the one bitset BFS: distance sums, eccentricities, the
 connectivity test and ``structure``'s floods are short calls to it.  Three
-loops stay separate because they compute something else: ``bfs_dists``
-(a distance vector), ``bipartite_side`` (the odd-edge test per level) and
-``_reaches_all_in_two`` (a ball of radius 2).
+loops stay separate because they compute something else: ``balls`` (the
+ball of every radius, which ``bfs_dists`` reads as a distance vector and
+``best_swap`` reads for its bound), ``bipartite_side`` (the odd-edge test
+per level) and ``_reaches_all_in_two`` (a ball of radius 2).
 
 Each bit layout has one decoder and one encoder:
 
@@ -56,19 +57,18 @@ def reach(adj, src, allowed=-1):
         frontier = nxt
 
 
-def bfs_dists(adj, src):
-    """Hop distances from src; -1 where unreachable.
+def balls(adj, src):
+    """Cumulative BFS balls from src: entry k is the bitmask of the vertices
+    within distance k of src.
 
-    Not built on reach: it writes each level's vertices into a vector,
-    which reach never materialises.
+    The list runs from radius 0 (src alone) up to src's component, so it
+    has ecc(src) + 1 entries, ecc taken within the component, and strictly
+    grows.  Not built on reach: it keeps every level's ball, where reach
+    returns the last one with its totals.
     """
-    n = len(adj)
-    dist = [-1] * n
-    dist[src] = 0
-    seen = 1 << src
-    frontier = seen
-    d = 0
-    while frontier:
+    seen = frontier = 1 << src
+    out = [seen]
+    while True:
         nxt = 0
         f = frontier
         while f:
@@ -77,15 +77,26 @@ def bfs_dists(adj, src):
             f ^= b
         nxt &= ~seen
         if not nxt:
-            break
-        d += 1
+            return out
         seen |= nxt
-        f = nxt
+        out.append(seen)
+        frontier = nxt
+
+
+def bfs_dists(adj, src):
+    """Hop distances from src; -1 where unreachable.
+
+    Read off balls: each level's vertices are written into the vector.
+    """
+    dist = [-1] * len(adj)
+    inner = 0
+    for d, ball in enumerate(balls(adj, src)):
+        f = ball & ~inner
         while f:
             b = f & -f
             dist[b.bit_length() - 1] = d
             f ^= b
-        frontier = nxt
+        inner = ball
     return dist
 
 
@@ -193,7 +204,7 @@ def first_improving_swap(adj):
     distance 2 to 1, sends v from 1 to at least 2 and brings no other
     vertex closer, so its delta is >= 0 (Alon, Demaine, Hajiaghayi and
     Leighton's swap model).  No improving swap is lost.  This is the
-    A(u,vp) <= 1 case of best_swap's bound, tested without distance vectors.
+    A(u,vp) <= 1 case of best_swap's bound, tested without balls.
     """
     n = len(adj)
     full = (1 << n) - 1
@@ -233,6 +244,13 @@ def best_swap(adj):
       where the first line gives only d'(u,v) >= 1;
     - summed over x, delta >= -A(u,vp) + 1.
 
+    A is read off the balls of u and vp.  With ball_s(j) the vertices within
+    distance j of s and far_u(k) those at distance >= k from u,
+    A(u,vp) = sum over j = 0..ecc(u)-2 of popcount(far_u(j+2) & ball_vp(j)),
+    because x counts once for each j with d(vp,x) <= j <= d(u,x) - 2.  The
+    j = 0 term is 1 for every non-neighbour vp (ball_vp(0) is vp alone and
+    d(u,vp) >= 2), so it is added as a constant.
+
     So a pair with A <= 1 has no improving swap.  An agent of eccentricity
     <= 2 has A <= 1 for every vp (only x = vp can count, and it counts 1),
     so it is skipped outright.  The other pairs are evaluated exactly, over
@@ -242,27 +260,29 @@ def best_swap(adj):
     """
     n = len(adj)
     full = (1 << n) - 1
-    dist = [bfs_dists(adj, s) for s in range(n)]
+    ball = [balls(adj, s) for s in range(n)]
+    # level[j - 1][vp] = ball_vp(j) for j >= 1; past its last entry, a ball
+    # of a connected graph is every vertex
+    level = list(zip(*[b[1:] + [full] * (n - len(b)) for b in ball]))
     pairs = []
     for u in range(n):
-        du = dist[u]
-        if max(du) <= 2:
+        bu = ball[u]
+        if len(bu) <= 3:
             continue
-        du1 = [d - 1 for d in du]
-        g = full & ~adj[u] & ~(1 << u)
-        while g:
-            c = g & -g
-            vp = c.bit_length() - 1
-            g ^= c
-            a = sum(p - q for p, q in zip(du1, dist[vp]) if p > q)
-            if a >= 2:
-                pairs.append((1 - a, u, vp))
+        # a[vp] = A(u, vp), summed level by level; read for non-neighbours only
+        a = [1] * n
+        for b, bv in zip(bu[2:-1], level):
+            far = full & ~b  # far_u(j + 2)
+            a = [x + (far & v).bit_count() for x, v in zip(a, bv)]
+        shut = adj[u] | 1 << u
+        pairs += [(1 - x, u, vp) for vp, x in enumerate(a)
+                  if x >= 2 and not shut >> vp & 1]
     pairs.sort()
     best = None
     for bound, u, vp in pairs:
         if best is not None and bound > best[0]:
             break
-        d0 = sum(dist[u])
+        d0 = sum(n - b.bit_count() for b in ball[u])
         f = adj[u]
         while f:
             b = f & -f

@@ -105,6 +105,20 @@ def test_distances(case):
             assert kernels.eccentricity(adj, src) == neg1(ecc)
 
 
+@pytest.mark.parametrize("case", CASES)
+def test_balls(case):
+    for n, adj, edges in labeled_graphs(case):
+        for src in range(n):
+            dist = oracle.distances(n, edges, src)
+            reached = [(x, d) for x, d in enumerate(dist) if d is not None]
+            ecc = max(d for _, d in reached)
+            got = kernels.balls(adj, src)
+            assert got == [sum(1 << x for x, d in reached if d <= k) for k in range(ecc + 1)]
+            assert all(a & ~b == 0 and a != b for a, b in zip(got, got[1:]))
+            assert got[-1] == sum(1 << x for x, _ in reached)
+            assert len(got) == ecc + 1
+
+
 def oracle_reach(n, edges, src, allowed):
     """reach's (seen, total, ecc) from a BFS of the oracle on the subgraph
     induced by allowed plus src."""
@@ -283,12 +297,35 @@ def test_best_swap_bound(case):
         assert tight
 
 
+def oracle_scan(dist, deltas):
+    """The (u, vp) of every swap best_swap evaluates, as the oracle sees it:
+    the pairs with A >= 2 of the agents with eccentricity >= 3, in ascending
+    (1 - A, u, vp) order, each once per neighbour v, until a pair's bound
+    exceeds the best delta found."""
+    pairs = sorted({(1 - add_only_bound(dist, u, vp), u, vp)
+                    for u, _, vp in deltas if max(dist[u]) > 2})
+    scanned = []
+    best = None
+    for bound, u, vp in pairs:
+        if bound > -1 or best is not None and bound > best:
+            break
+        for v in sorted(v for a, v, b in deltas if (a, b) == (u, vp)):
+            scanned.append((u, vp))
+            d = deltas[u, v, vp]
+            if d is not None and d < 0 and (best is None or d < best):
+                best = d
+    return scanned
+
+
 @pytest.mark.parametrize("case", CASES)
 def test_best_swap_skips_closed_pairs(case, monkeypatch):
+    """best_swap evaluates only pairs with A >= 2, in the oracle's order and
+    up to the oracle's cut-off."""
     for n, adj, edges in connected_graphs(case):
         dist = oracle_dists(n, edges)
         _, swaps = scanned_agents(monkeypatch, kernels.best_swap, adj, key=pair)
         assert all(add_only_bound(dist, u, vp) >= 2 for u, vp in swaps)
+        assert swaps == oracle_scan(dist, oracle_deltas(n, edges))
 
 
 @pytest.mark.parametrize("g, calls, unpruned", [
@@ -305,21 +342,34 @@ def test_best_swap_call_count(g, calls, unpruned, monkeypatch):
                            for u in far_agents(g.adj))
 
 
-def test_best_swap_on_dynamics_states():
+def test_best_swap_on_dynamics_states(monkeypatch):
     """best_swap against the oracle on every state of six best-response
-    trajectories on sparse graphs with n = 16..20, the sizes dynamics serves."""
+    trajectories on sparse graphs with n = 16..20, the sizes dynamics serves:
+    its result, and the pairs it evaluates in the oracle's order."""
     rng = random.Random(20261019)
     states = tied = 0
     for _ in range(6):
         trace = run_dynamics(sparse_connected(rng, rng.randint(16, 20)), 200)
         for s in trace.states:
-            deltas = oracle_deltas(s.n, list(s.edges))
+            edges = list(s.edges)
+            deltas = oracle_deltas(s.n, edges)
             best = oracle_best(deltas)
-            assert kernels.best_swap(s.adj) == best
+            result, swaps = scanned_agents(monkeypatch, kernels.best_swap, s.adj, key=pair)
+            assert result == best
+            assert swaps == oracle_scan(oracle_dists(s.n, edges), deltas)
             states += 1
             if best is not None:
                 tied += len({(u, vp) for (u, _, vp), d in deltas.items() if d == best[0]}) > 1
     assert states > 50 and tied
+
+
+def test_best_swap_reads_balls_only(monkeypatch):
+    def refuse(adj, src):
+        raise AssertionError("best_swap computed a distance vector")
+
+    monkeypatch.setattr(kernels, "bfs_dists", refuse)
+    for g in (path(5), cycle(6), sparse_connected(random.Random(16), 16)):
+        assert kernels.best_swap(g.adj) == oracle_best(oracle_deltas(g.n, list(g.edges)))
 
 
 @pytest.mark.parametrize("g", [complete(4), complete_bipartite(3, 3), petersen(),

@@ -28,8 +28,8 @@ FRONTIER_STEP = re.compile(r"\w+ \|= [\w.]+\[\w+\.bit_length\(\) - 1\]")
 
 def test_one_bfs_loop():
     # every BFS goes through kernels.reach, except the loops that compute
-    # something else: a distance vector, the per-level odd-edge test and the
-    # radius-2 ball
+    # something else: the ball of every radius (which bfs_dists reads), the
+    # per-level odd-edge test and the radius-2 ball
     found = {
         (path.name, fn.name)
         for path in sorted(PACKAGE.glob("*.py"))
@@ -39,7 +39,7 @@ def test_one_bfs_loop():
         if isinstance(node, ast.AugAssign) and FRONTIER_STEP.fullmatch(ast.unparse(node))
     }
     assert found == {("kernels.py", name) for name in
-                     ("reach", "bfs_dists", "bipartite_side", "_reaches_all_in_two")}
+                     ("reach", "balls", "bipartite_side", "_reaches_all_in_two")}
 
 
 def test_pendant_world_callers():
