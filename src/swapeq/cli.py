@@ -14,7 +14,7 @@ from pathlib import Path
 
 from . import __version__, kernels
 from .equilibrium import is_equilibrium, run_dynamics
-from .graph import Graph, diameter
+from .graph import INF, Graph, diameter
 from .io import encode_graph6, parse_edge_list, parse_graph6, write_report
 from .structure import DisconnectedError, classify, decompose, is_bipartite, pendant_world
 from .survey import (
@@ -83,12 +83,13 @@ def _cmd_check(args) -> int:
 
 def _cmd_analyze(args) -> int:
     g = _load_graph(args.input, args.format)
+    diam = diameter(g)
     payload: dict = {
         "graph6": encode_graph6(g),
         "n": g.n,
         "m": g.m,
-        "connected": kernels.is_connected(g.adj),
-        "diameter": diameter(g),
+        "connected": diam is not INF,
+        "diameter": diam,
     }
     bip = is_bipartite(g)
     payload["bipartite"] = bip.bipartite

@@ -6,7 +6,7 @@ Graphs are adjacency rows: ``adj[v]`` is an int whose bit ``u`` is set iff
 that to the public INF value.
 
 ``reach`` is the one bitset BFS: distance sums, eccentricities, the
-connectivity test and ``structure``'s floods are short calls to it.  Three
+connectivity test and ``structure``'s pendant-world flood call it.  Three
 loops stay separate because they compute something else: ``balls`` (the
 ball of every radius, which ``bfs_dists`` reads as a distance vector and
 ``best_swap`` reads for its bound), ``bipartite_side`` (the odd-edge test

@@ -1,5 +1,10 @@
 """Structural decomposition: bridges, cut vertices, 2-edge-connected and
-biconnected components, pendant worlds, and graph-class recognizers."""
+biconnected components, pendant worlds, and graph-class recognizers.
+
+Each answer is one traversal.  decompose is one depth-first lowpoint pass
+(Tarjan 1974) that yields bridges, cut vertices, 2-edge-connected components
+and blocks together; is_bipartite is one BFS per component that yields the
+2-colouring or an odd closed walk.  Neither calls a kernel."""
 
 from __future__ import annotations
 
@@ -39,14 +44,20 @@ def _require_connected(g: Graph) -> None:
 
 @lru_cache(maxsize=2048)
 def decompose(g: Graph) -> Decomposition:
-    """One depth-first lowpoint pass collecting bridges, cuts and blocks;
-    a vertex the pass from 0 never reaches means g is disconnected."""
+    """One depth-first lowpoint pass (Tarjan, "A note on finding the bridges
+    of a graph", IPL 2(6), 1974).  A tree edge (u, v) with low[v] > disc[u] is
+    a bridge, and v's subtree still on the vertex stack is one 2-edge-connected
+    component; what is left on it at the end is the root's.  low[v] >= disc[u]
+    closes a block on the edge stack and makes u a cut (the root needs two
+    children).  A vertex the pass from 0 never reaches: g is disconnected."""
     n = g.n
     disc = [-1] * n
     low = [0] * n
     bridges: list[Edge] = []
     cuts: set[int] = set()
+    comps: list[frozenset[int]] = []
     blocks: list[frozenset[Edge]] = []
+    vstack: list[int] = []
     estack: list[Edge] = []
     timer = 0
 
@@ -54,6 +65,7 @@ def decompose(g: Graph) -> Decomposition:
         nonlocal timer
         disc[u] = low[u] = timer
         timer += 1
+        vstack.append(u)
         children = 0
         for v in g.neighbors(u):
             if v == parent:
@@ -65,6 +77,9 @@ def decompose(g: Graph) -> Decomposition:
                 low[u] = min(low[u], low[v])
                 if low[v] > disc[u]:
                     bridges.append((min(u, v), max(u, v)))
+                    at = vstack.index(v)
+                    comps.append(frozenset(vstack[at:]))
+                    del vstack[at:]
                 if low[v] >= disc[u]:
                     if parent >= 0 or children > 1:
                         cuts.add(u)
@@ -82,23 +97,10 @@ def decompose(g: Graph) -> Decomposition:
     dfs(0, -1)
     if timer < n:
         raise DisconnectedError("operation requires a connected graph")
-
-    bridge_set = set(bridges)
-    # strip bridges, flood the rest: vertex sets of the bridgeless pieces
-    rows = list(g.adj)
-    for a, b in bridge_set:
-        rows[a] &= ~(1 << b)
-        rows[b] &= ~(1 << a)
-    seen = 0
-    comps: list[frozenset[int]] = []
-    for s in range(n):
-        if not seen >> s & 1:
-            comp = kernels.reach(rows, s)[0]
-            seen |= comp
-            comps.append(frozenset(v for v in range(n) if comp >> v & 1))
+    comps.append(frozenset(vstack))
 
     return Decomposition(
-        bridges=tuple(sorted(bridge_set)),
+        bridges=tuple(sorted(bridges)),
         cut_vertices=frozenset(cuts),
         tecc=tuple(sorted(comps, key=min)),
         bcc=tuple(sorted(blocks, key=lambda b: min(b))),
@@ -131,13 +133,10 @@ class BipartiteVerdict:
 
 
 def is_bipartite(g: Graph) -> BipartiteVerdict:
-    """2-colour the graph or exhibit an odd closed walk."""
-    side = kernels.bipartite_side(g.adj)
-    if side >= 0:
-        ones = frozenset(v for v in range(g.n) if side >> v & 1)
-        zeros = frozenset(range(g.n)) - ones
-        return BipartiteVerdict(True, (zeros, ones), None)
-    # rebuild layers with parents to extract the witness walk
+    """2-colour the graph or exhibit an odd closed walk, in one BFS per
+    component: the lowest vertex of each component is the root, with colour
+    0, and a vertex's colour is the parity of its BFS depth.  The first edge
+    met between two vertices of equal parity closes the odd walk."""
     parent = [-1] * g.n
     depth = [-1] * g.n
     for s in range(g.n):
@@ -161,7 +160,8 @@ def is_bipartite(g: Graph) -> BipartiteVerdict:
                         walk_v.append(parent[walk_v[-1]])
                     walk = walk_u + list(reversed(walk_v))[1:] + [u]
                     return BipartiteVerdict(False, None, tuple(walk))
-    raise AssertionError("odd cycle reported by kernel but not found")
+    ones = frozenset(v for v in range(g.n) if depth[v] % 2)
+    return BipartiteVerdict(True, (frozenset(range(g.n)) - ones, ones), None)
 
 
 @dataclass(frozen=True)

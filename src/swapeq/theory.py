@@ -176,9 +176,7 @@ def aggregate_swaps(g: Graph, component) -> SwapAggregate:
     """
     comp = _validate_tecc(g, component)
     members = sorted(comp)
-    nbrs = {u: _h_neighbors(g, comp, u) for u in members}
-    if any(len(nbrs[u]) == 1 for u in members):
-        raise ComponentError("component vertices must not have degree 1 inside it")
+    nbrs = {u: _h_neighbors(g, comp, u) for u in members}  # bridgeless: no inner degree 1
     common = lcm(*(len(nbrs[u]) - 1 for u in members if nbrs[u]))
 
     families = {}

@@ -19,7 +19,7 @@ import pytest
 from swapeq import kernels
 from swapeq.equilibrium import Deviation, is_equilibrium
 from swapeq.families import complete, complete_bipartite, cycle, path, paw, star
-from swapeq.graph import build_graph
+from swapeq.graph import build_graph, graph_from_adj
 from swapeq.io import encode_graph6, parse_graph6, write_report
 from swapeq.structure import decompose
 from swapeq.survey import (
@@ -29,7 +29,13 @@ from swapeq.survey import (
     run_survey,
     survey_report,
 )
-from swapeq.theory import aggregate_swaps, closed_form_shift, layer_profile, strict_witness
+from swapeq.theory import (
+    aggregate_swaps,
+    check_inequalities,
+    closed_form_shift,
+    layer_profile,
+    strict_witness,
+)
 
 import oracle
 from test_kernels import DIAMETER3_N8
@@ -311,3 +317,52 @@ def test_criterion_9_n8_class_sweep():
     assert sum(by_diameter[3].values()) == 80_640
     assert sum(sum(d.values()) for d in by_diameter.values()) == summary.equilibria
     print("ACCEPTANCE 9 (class sweep n=8, six diameter-3 equilibrium classes): PASS")
+
+
+def test_criterion_10_bipartite_proof_steps(graph_classes):
+    """Every step of the bipartite argument, each relation on its own, at
+    every observer of every cyclic component of every connected bipartite
+    class with n = 4..8: the descending mass bound, each ratio bound with
+    its tightness exactly at the entry, the ascending mass bound, the
+    formula against the simulated total, the final chain, the closed form
+    on every family, and a strict witness exactly when the diameter
+    exceeds 2."""
+    per_n = Counter()
+    components = reports = ratios = 0
+    for n in range(4, 9):
+        for bits in graph_classes[n]:
+            rows = kernels.triangle_rows(n, bits)
+            if not kernels.is_connected(rows) or kernels.bipartite_side(rows) < 0:
+                continue
+            g = graph_from_adj(n, rows)
+            cyclic = [t for t in decompose(g).tecc if len(t) >= 3]
+            if not cyclic:
+                continue
+            per_n[n] += 1
+            for comp in cyclic:
+                components += 1
+                agg = aggregate_swaps(g, comp)
+                for w in range(n):
+                    where = (encode_graph6(g), sorted(comp), w)
+                    prof = layer_profile(g, comp, w)
+                    rep = check_inequalities(prof, agg)
+                    reports += 1
+                    assert rep.down_mass >= rep.z_count, where
+                    for case in rep.ratio_cases:
+                        assert case.ratio <= 1, (where, case)
+                        assert case.tight == case.via_is_entry, (where, case)
+                        ratios += 1
+                    assert rep.up_mass <= rep.single_down_count, where
+                    assert rep.formula_total == rep.observer_total, where
+                    assert rep.observer_total <= rep.bound <= 0, where
+                    for u, v in agg.families:
+                        assert closed_form_shift(prof, u, v) == agg.shifts[(w, u, v)], \
+                            (where, u, v)
+                wit = strict_witness(g, agg)
+                assert (wit is not None) == (agg.diameter > 2), (encode_graph6(g), sorted(comp))
+                if wit is not None:
+                    assert wit.shift_total < 0, (encode_graph6(g), sorted(comp))
+    assert [per_n[n] for n in range(4, 9)] == [1, 2, 11, 33, 159]
+    assert (components, reports, ratios) == (207, 1_591, 4_747)
+    print(f"ACCEPTANCE 10 (bipartite proof steps on {sum(per_n.values())} classes, "
+          f"{reports} reports): PASS")

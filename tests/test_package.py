@@ -168,6 +168,18 @@ def test_decompose_is_the_one_cached_structure():
     assert cached == ["decompose"]
 
 
+def test_one_traversal_per_structural_answer():
+    # decompose reads its components off its own lowpoint DFS and
+    # is_bipartite colours in its own witness BFS: neither calls a kernel
+    tree = ast.parse((PACKAGE / "structure.py").read_text())
+    uses_kernels = {
+        fn.name: any(isinstance(node, ast.Name) and node.id == "kernels" for node in ast.walk(fn))
+        for fn in tree.body
+        if isinstance(fn, ast.FunctionDef) and fn.name in ("decompose", "is_bipartite")
+    }
+    assert uses_kernels == {"decompose": False, "is_bipartite": False}
+
+
 def test_readme_quick_start_runs():
     # README's library example runs as printed, so an API change cannot
     # leave it stale

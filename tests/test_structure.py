@@ -1,7 +1,11 @@
+import itertools
 import random
 
+import networkx as nx
 import pytest
+from networkx.algorithms.connectivity import bridge_components
 
+from swapeq import kernels
 from swapeq.families import complete, complete_bipartite, cycle, path, star
 from swapeq.graph import GraphError, build_graph
 from swapeq.structure import (
@@ -19,6 +23,17 @@ import oracle
 
 def c4_pendant():
     return build_graph(5, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4)])
+
+
+def assert_decompose_matches_oracles(g):
+    d = decompose(g)
+    assert list(d.bridges) == oracle.bridges(g.n, g.edges)
+    assert sorted(d.cut_vertices) == oracle.cut_vertices(g.n, g.edges)
+    nxg = nx.Graph(g.edges)
+    nxg.add_nodes_from(range(g.n))
+    assert d.tecc == tuple(sorted(map(frozenset, bridge_components(nxg)), key=min))
+    assert set(d.bcc) == {frozenset((min(e), max(e)) for e in block)
+                          for block in nx.biconnected_component_edges(nxg)}
 
 
 class TestDecompose:
@@ -47,11 +62,15 @@ class TestDecompose:
 
     def test_connectivity_from_own_dfs(self, monkeypatch):
         # no separate connectivity test: a kernel that always answers
-        # "connected" changes nothing, and a raise is never cached
-        from swapeq import kernels
-
+        # "connected" changes nothing, and a raise is never cached; the
+        # components come from the same pass, with no flood through reach
         calls = []
         monkeypatch.setattr(kernels, "is_connected", lambda adj: calls.append(adj) or True)
+
+        def no_flood(*args):
+            raise AssertionError("decompose flooded with kernels.reach")
+
+        monkeypatch.setattr(kernels, "reach", no_flood)
         decompose.cache_clear()
         try:
             assert len(decompose(c4_pendant()).tecc) == 2
@@ -71,18 +90,16 @@ class TestDecompose:
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_against_brute_oracle(self, n):
+        # bridges and cuts against the brute-force oracle, the 2-edge-connected
+        # components and the blocks against networkx
         for g in enumerate_labeled_connected(n):
-            d = decompose(g)
-            assert list(d.bridges) == oracle.bridges(g.n, g.edges)
-            assert sorted(d.cut_vertices) == oracle.cut_vertices(g.n, g.edges)
+            assert_decompose_matches_oracles(g)
 
     def test_against_brute_oracle_n6_sample(self):
         rng = random.Random(2024)
         pool = list(enumerate_labeled_connected(6))
         for g in rng.sample(pool, 400):
-            d = decompose(g)
-            assert list(d.bridges) == oracle.bridges(g.n, g.edges)
-            assert sorted(d.cut_vertices) == oracle.cut_vertices(g.n, g.edges)
+            assert_decompose_matches_oracles(g)
 
     @pytest.mark.parametrize("n", [4, 5])
     def test_bridge_iff_in_no_cycle(self, n):
@@ -141,6 +158,26 @@ class TestBipartite:
 
     def test_k23(self):
         assert is_bipartite(complete_bipartite(2, 3)).bipartite
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_every_labeled_graph(self, n):
+        # disconnected graphs included: the sides are the kernel's colouring
+        # (lowest vertex of each component on side 0), and every odd walk is
+        # closed, of odd length and runs along edges
+        pairs = list(itertools.combinations(range(n), 2))
+        for mask in range(1 << len(pairs)):
+            g = build_graph(n, [e for k, e in enumerate(pairs) if mask >> k & 1])
+            v = is_bipartite(g)
+            side = kernels.bipartite_side(g.adj)
+            assert v.bipartite == (side >= 0)
+            if v.bipartite:
+                ones = frozenset(x for x in range(n) if side >> x & 1)
+                assert v.sides == (frozenset(range(n)) - ones, ones) and v.odd_walk is None
+            else:
+                walk = v.odd_walk
+                assert v.sides is None
+                assert walk[0] == walk[-1] and len(walk) % 2 == 0  # odd edge count
+                assert all(g.has_edge(a, b) for a, b in zip(walk, walk[1:]))
 
 
 class TestClassify:
