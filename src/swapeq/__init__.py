@@ -9,15 +9,7 @@ bipartite / block / cactus equilibria, and sweeps every small graph to
 machine-verify those claims.
 """
 
-from .graph import (
-    INF,
-    Graph,
-    GraphError,
-    build_graph,
-    bfs_distances,
-    diameter,
-    sum_distances,
-)
+from .graph import INF, Graph, GraphError, build_graph, diameter
 from .kernels import BACKEND as KERNEL_BACKEND
 
 __version__ = "0.1.0"
@@ -28,8 +20,6 @@ __all__ = [
     "GraphError",
     "KERNEL_BACKEND",
     "build_graph",
-    "bfs_distances",
     "diameter",
-    "sum_distances",
     "__version__",
 ]

@@ -129,17 +129,6 @@ class Graph:
         return f"Graph(n={self.n}, edges={list(self.edges)})"
 
 
-@dataclass(frozen=True)
-class DistanceVector:
-    """BFS distances from one source; entries are ints or INF."""
-
-    source: int
-    dist: tuple
-
-    def __getitem__(self, v: int):
-        return self.dist[v]
-
-
 def build_graph(n: int, edges: Iterable[Edge]) -> Graph:
     """Validate and build a graph from an edge list.
 
@@ -169,20 +158,6 @@ def build_graph(n: int, edges: Iterable[Edge]) -> Graph:
 def graph_from_adj(n: int, adj: tuple[int, ...]) -> Graph:
     """Wrap pre-validated adjacency rows (internal fast path)."""
     return Graph(n, tuple(adj))
-
-
-def bfs_distances(g: Graph, u: int) -> DistanceVector:
-    """Single-source shortest hop distances; INF marks unreachable vertices."""
-    g.check_vertex(u)
-    raw = kernels.bfs_dists(g.adj, u)
-    return DistanceVector(u, tuple(INF if d < 0 else d for d in raw))
-
-
-def sum_distances(g: Graph, u: int):
-    """Sum of distances from u to every other vertex; INF if any unreachable."""
-    g.check_vertex(u)
-    s = kernels.sum_dist(g.adj, u)
-    return INF if s < 0 else s
 
 
 def diameter(g: Graph):

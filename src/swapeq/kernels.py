@@ -5,12 +5,15 @@ Graphs are adjacency rows: ``adj[v]`` is an int whose bit ``u`` is set iff
 ``n <= 64``.  Distances use ``-1`` as the unreachable sentinel; callers map
 that to the public INF value.
 
-``reach`` is the one bitset BFS: distance sums, eccentricities, the
-connectivity test and ``structure``'s pendant-world flood call it.  Three
-loops stay separate because they compute something else: ``balls`` (the
-ball of every radius, which ``bfs_dists`` reads as a distance vector and
-``best_swap`` reads for its bound), ``bipartite_side`` (the odd-edge test
-per level) and ``_reaches_all_in_two`` (a ball of radius 2).
+There are two bitset BFS loops.  ``reach`` returns the last ball with its
+distance total and eccentricity: distance sums, eccentricities, the
+connectivity test and ``structure``'s pendant-world flood call it.
+``balls`` keeps the ball of every radius: ``bfs_dists`` reads it as a
+distance vector, ``bipartite_side`` colours by its levels, and the two swap
+scans read the ecc <= 2 skip, the agent's distance sum and ``best_swap``'s
+bound off it.  ``reach`` is not folded into ``balls`` because a distance
+sum read off balls costs about 37 % more per call, and the swap scans make
+one per swap they evaluate.
 
 Each bit layout has one decoder and one encoder:
 
@@ -131,36 +134,28 @@ def diameter(adj):
 def bipartite_side(adj):
     """One side of a 2-colouring as a bitmask, or -1 if an odd cycle exists.
 
-    The vertex with the lowest id in each component gets colour 0, so the
-    returned mask is deterministic.  Not built on reach: it colours level
-    by level, tests each level for an inner edge and floods every
-    component, where reach returns one component's totals only.
+    Read off balls, component by component: a vertex's colour is the parity
+    of its BFS level, and an edge inside one level closes an odd cycle.  The
+    vertex with the lowest id in each component is the source and gets
+    colour 0, so the returned mask is deterministic.
     """
-    n = len(adj)
-    seen_all = 0
-    side1 = 0
-    for s in range(n):
-        if seen_all >> s & 1:
+    seen = side1 = 0
+    for s in range(len(adj)):
+        if seen >> s & 1:
             continue
-        level = 1 << s
-        seen = level
-        col = 0
-        while level:
-            nxt = 0
+        inner = 0
+        for d, ball in enumerate(balls(adj, s)):
+            level = ball & ~inner
             f = level
             while f:
                 b = f & -f
-                nxt |= adj[b.bit_length() - 1]
+                if adj[b.bit_length() - 1] & level:
+                    return -1
                 f ^= b
-            if nxt & level:
-                return -1  # edge inside one BFS level closes an odd cycle
-            if col:
+            if d & 1:
                 side1 |= level
-            nxt &= ~seen
-            seen |= nxt
-            col ^= 1
-            level = nxt
-        seen_all |= seen
+            inner = ball
+        seen |= inner
     return side1
 
 
@@ -178,21 +173,6 @@ def swapped_sum_dist(adj, u, v, vp):
     return sum_dist(swapped_rows(adj, u, v, vp), u)
 
 
-def _reaches_all_in_two(adj, u, full):
-    """True iff every vertex lies within distance 2 of u (ecc(u) <= 2).
-
-    Not built on reach: it stops after two levels, where reach would run
-    the whole BFS for every agent the swap scan considers.
-    """
-    ball = (1 << u) | adj[u]
-    f = adj[u]
-    while f:
-        b = f & -f
-        ball |= adj[b.bit_length() - 1]
-        f ^= b
-    return ball == full
-
-
 def first_improving_swap(adj):
     """First improving (u, v, vp, delta) in (u, v, vp) order; None at equilibrium.
 
@@ -204,17 +184,19 @@ def first_improving_swap(adj):
     distance 2 to 1, sends v from 1 to at least 2 and brings no other
     vertex closer, so its delta is >= 0 (Alon, Demaine, Hajiaghayi and
     Leighton's swap model).  No improving swap is lost.  This is the
-    A(u,vp) <= 1 case of best_swap's bound, tested without balls.
+    A(u,vp) <= 1 case of best_swap's bound, and it is read the same way:
+    u's balls number ecc(u) + 1.  They also give u's distance sum, as the
+    sum over k of n - |ball_u(k)|: x counts once for each k < d(u,x).
     """
     n = len(adj)
     full = (1 << n) - 1
     for u in range(n):
-        nbrs = adj[u]
-        others = full & ~nbrs & ~(1 << u)
-        if not nbrs or not others or _reaches_all_in_two(adj, u, full):
+        bu = balls(adj, u)
+        if len(bu) <= 3:
             continue
-        d0 = sum_dist(adj, u)
-        f = nbrs
+        d0 = sum(n - b.bit_count() for b in bu)
+        others = full & ~bu[1]
+        f = adj[u]
         while f:
             b = f & -f
             v = b.bit_length() - 1

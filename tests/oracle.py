@@ -46,6 +46,31 @@ def is_connected(n, edges):
     return all(x is not None for x in distances(n, edges, 0))
 
 
+def bipartite_side(n, edges):
+    """Bitmask of the colour-1 vertices of the 2-colouring in which the
+    lowest vertex of each component has colour 0; None if an odd cycle
+    exists."""
+    adj = {v: set() for v in range(n)}
+    for a, b in edges:
+        adj[a].add(b)
+        adj[b].add(a)
+    colour = {}
+    for s in range(n):
+        if s in colour:
+            continue
+        colour[s] = 0
+        q = deque([s])
+        while q:
+            u = q.popleft()
+            for v in adj[u]:
+                if v not in colour:
+                    colour[v] = 1 - colour[u]
+                    q.append(v)
+                elif colour[v] == colour[u]:
+                    return None
+    return sum(1 << v for v, c in colour.items() if c)
+
+
 def all_deviations(n, edges):
     """Every (agent, drop, add) with add not already adjacent, in lex order."""
     eset = {frozenset(e) for e in edges}

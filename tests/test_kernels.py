@@ -3,8 +3,9 @@
 Every labeled graph with n <= 5 is checked, plus seeded samples at n = 6
 and n = 7, the six n = 8 equilibria of diameter 3 and, for best_swap, the
 best-response trajectories of sparse graphs with n = 16..20.
-Bipartiteness is checked against networkx, and the two bit-layout codecs
-against pair-list expansions.
+Bipartiteness is checked against networkx and the oracle's 2-colouring,
+the latter also on every graph with n <= 8 up to isomorphism, and the two
+bit-layout codecs against pair-list expansions.
 """
 
 import random
@@ -146,7 +147,17 @@ def test_global_properties(case):
     for n, adj, edges in labeled_graphs(case):
         assert kernels.is_connected(adj) == oracle.is_connected(n, edges)
         assert kernels.diameter(adj) == neg1(oracle.diameter(n, edges))
-        assert (kernels.bipartite_side(adj) >= 0) == nx_bipartite(n, edges)
+        side = kernels.bipartite_side(adj)
+        assert side == neg1(oracle.bipartite_side(n, edges))
+        assert (side >= 0) == nx_bipartite(n, edges)
+
+
+def test_bipartite_side_on_classes(graph_classes):
+    """The mask, on every graph with n <= 8 up to isomorphism."""
+    for n, classes in graph_classes.items():
+        for bits in classes:
+            g = graph_from_adj(n, kernels.triangle_rows(n, bits))
+            assert kernels.bipartite_side(g.adj) == neg1(oracle.bipartite_side(n, g.edges))
 
 
 @pytest.mark.parametrize("case", CASES)
@@ -388,6 +399,31 @@ def test_agent_minima_scanned_on_read(g, monkeypatch):
         expected[u] = min(expected.get(u, d), d)
     assert dict(verdict.per_agent_min) == expected
     assert set(agents) == set(expected)
+
+
+@pytest.mark.parametrize("g", [complete(4), complete_bipartite(3, 3), petersen(),
+                               *map(parse_graph6, DIAMETER3_N8)],
+                         ids=["K4", "K3,3", "Petersen", *DIAMETER3_N8])
+def test_first_improving_swap_reads_balls(g, monkeypatch):
+    """One balls call per agent gives the ecc <= 2 skip and the agent's
+    distance sum; the only distance sums are those of the swapped graphs."""
+    calls = []
+
+    def counting(name):
+        real = getattr(kernels, name)
+
+        def wrapper(*args):
+            calls.append((name, args[1]))
+            return real(*args)
+        monkeypatch.setattr(kernels, name, wrapper)
+
+    for name in ("balls", "sum_dist", "swapped_sum_dist"):
+        counting(name)
+    assert kernels.first_improving_swap(g.adj) is None
+    assert [u for name, u in calls if name == "balls"] == list(range(g.n))
+    swaps = [u for name, u in calls if name == "swapped_sum_dist"]
+    assert [u for name, u in calls if name == "sum_dist"] == swaps
+    assert set(swaps) == far_agents(g.adj)
 
 
 # -- the two bit layouts --------------------------------------------------------

@@ -27,9 +27,9 @@ FRONTIER_STEP = re.compile(r"\w+ \|= [\w.]+\[\w+\.bit_length\(\) - 1\]")
 
 
 def test_one_bfs_loop():
-    # every BFS goes through kernels.reach, except the loops that compute
-    # something else: the ball of every radius (which bfs_dists reads), the
-    # per-level odd-edge test and the radius-2 ball
+    # every BFS frontier is expanded by kernels.reach, which keeps the last
+    # ball and its distance total, or kernels.balls, which keeps the ball of
+    # every radius
     found = {
         (path.name, fn.name)
         for path in sorted(PACKAGE.glob("*.py"))
@@ -38,8 +38,18 @@ def test_one_bfs_loop():
         for node in ast.walk(fn)
         if isinstance(node, ast.AugAssign) and FRONTIER_STEP.fullmatch(ast.unparse(node))
     }
-    assert found == {("kernels.py", name) for name in
-                     ("reach", "balls", "bipartite_side", "_reaches_all_in_two")}
+    assert found == {("kernels.py", "reach"), ("kernels.py", "balls")}
+
+
+def test_version_matches_pyproject():
+    # every JSON report embeds swapeq.__version__ as tool_version, so it must
+    # be the version the package is installed as; re, since tomllib is not
+    # in Python 3.10
+    import swapeq
+
+    project = re.search(r"^\[project\]$(.*?)^\[", (ROOT / "pyproject.toml").read_text(),
+                        re.M | re.S).group(1)
+    assert re.findall(r'^version = "(.*)"$', project, re.M) == [swapeq.__version__]
 
 
 def test_pendant_world_callers():
