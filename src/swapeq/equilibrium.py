@@ -68,12 +68,6 @@ def enumerate_deviations(g: Graph, u: int) -> list[Deviation]:
     return out
 
 
-def apply_deviation(g: Graph, d: Deviation) -> Graph:
-    """The deviated graph; edge count is preserved for enumerated swaps."""
-    d.validate(g)
-    return g.replace_edge(d.agent, d.drop, d.add)
-
-
 def cost_delta(g: Graph, d: Deviation):
     """D(agent) after the swap minus before; +INF on disconnection.
 
@@ -125,28 +119,15 @@ class _AgentMinima(Mapping):
         return len(self._mins)
 
 
-def best_response_step(g: Graph):
-    """Deviation minimising (delta, agent, drop, add) if strictly improving."""
-    _require_connected(g)
-    return _best_response(g)
-
-
-def _best_response(g: Graph):
-    """best_response_step on a graph already known to be connected."""
-    found = kernels.best_swap(g.adj)
-    if found is None:
-        return None
-    delta, u, v, vp = found
-    d = Deviation(u, v, vp)
-    return d, apply_deviation(g, d)
-
-
 def run_dynamics(g: Graph, step_limit: int) -> DynamicsTrace:
     """Iterate best responses until equilibrium, a repeated labelled state,
     or the step limit.
 
-    Connectivity is tested once, on g: an improving swap leaves the agent
-    a finite distance sum, so every later state is connected too.
+    Each step calls ``kernels.best_swap`` on the current rows, which gives
+    the improving swap minimising (delta, agent, drop, add), and applies it
+    with ``Graph.replace_edge``.  Connectivity is tested once, on g: an
+    improving swap leaves the agent a finite distance sum, so every later
+    state is connected too.
     """
     _require_connected(g)
     states = [g]
@@ -154,15 +135,15 @@ def run_dynamics(g: Graph, step_limit: int) -> DynamicsTrace:
     seen = {g.adj}
     current = g
     while True:
-        step = _best_response(current)
-        if step is None:
+        found = kernels.best_swap(current.adj)
+        if found is None:
             return DynamicsTrace(tuple(states), tuple(moves), "converged")
         if len(moves) >= step_limit:
             return DynamicsTrace(tuple(states), tuple(moves), "step_limit")
-        d, nxt = step
-        moves.append(d)
-        states.append(nxt)
-        if nxt.adj in seen:
+        _, u, v, vp = found
+        current = current.replace_edge(u, v, vp)
+        moves.append(Deviation(u, v, vp))
+        states.append(current)
+        if current.adj in seen:
             return DynamicsTrace(tuple(states), tuple(moves), "cycled")
-        seen.add(nxt.adj)
-        current = nxt
+        seen.add(current.adj)

@@ -7,7 +7,8 @@ that to the public INF value.
 
 There are two bitset BFS loops.  ``reach`` returns the last ball with its
 distance total and eccentricity: distance sums, eccentricities, the
-connectivity test and ``structure``'s pendant-world flood call it.
+connectivity test and ``structure``'s pendant-world flood call it, the
+flood on rows masked to the vertices outside the component.
 ``balls`` keeps the ball of every radius: ``bfs_dists`` reads it as a
 distance vector, ``bipartite_side`` colours by its levels, and the two swap
 scans read the ecc <= 2 skip, the agent's distance sum and ``best_swap``'s
@@ -33,14 +34,15 @@ from __future__ import annotations
 BACKEND = "pure-python"
 
 
-def reach(adj, src, allowed=-1):
-    """BFS from src into the vertices of allowed: (seen, total, ecc).
+def reach(adj, src):
+    """BFS from src: (seen, total, ecc).
 
     seen is the bitmask of reached vertices (src always included), total
     the sum of their hop distances from src and ecc the largest of them.
     The one frontier loop behind every distance sum, connectivity test and
-    flood; it is a plain function because a generator made the swap scan
-    30-35 % slower.
+    flood; a flood confined to some vertices passes rows masked to them.
+    It is a plain function because a generator made the swap scan 30-35 %
+    slower.
     """
     seen = frontier = 1 << src
     total = d = 0
@@ -51,7 +53,7 @@ def reach(adj, src, allowed=-1):
             b = f & -f
             nxt |= adj[b.bit_length() - 1]
             f ^= b
-        nxt &= allowed & ~seen
+        nxt &= ~seen
         if not nxt:
             return seen, total, d
         d += 1

@@ -4,7 +4,10 @@ biconnected components, pendant worlds, and graph-class recognizers.
 Each answer is one traversal.  decompose is one depth-first lowpoint pass
 (Tarjan 1974) that yields bridges, cut vertices, 2-edge-connected components
 and blocks together; is_bipartite is one BFS per component that yields the
-2-colouring or an odd closed walk.  Neither calls a kernel."""
+2-colouring or an odd closed walk.  Neither calls a kernel.  classify reads
+the blocks off decompose and K_{r,s} off the rows, with no 2-colouring: a
+connected graph is complete bipartite iff the rows of the non-neighbours
+of 0 all equal N(0) and the rows of N(0) all equal its complement."""
 
 from __future__ import annotations
 
@@ -115,13 +118,15 @@ def pendant_world(g: Graph, component, u: int):
     """W(u): the connected piece containing u once the rest of the component
     is deleted — u plus everything hanging off the component at u.
 
-    The flood expands only outside the component, so its first level is
-    g.adj[u] & ~mask(component): W(u) is {u} exactly when that AND is 0."""
+    The flood runs from u on the rows masked to the vertices outside the
+    component, so its first level is g.adj[u] & ~mask(component): W(u) is
+    {u} exactly when that AND is 0."""
     comp = frozenset(component)
     if u not in comp:
         raise GraphError(f"vertex {u} not in the component")
+    outside = ~sum(1 << v for v in comp)
     # reach always keeps its source, so u is the one component vertex in W(u)
-    world = kernels.reach(g.adj, u, ~sum(1 << v for v in comp))[0]
+    world = kernels.reach([r & outside for r in g.adj], u)[0]
     return frozenset(v for v in range(g.n) if world >> v & 1)
 
 
@@ -174,18 +179,22 @@ class Classification:
 
 
 def classify(g: Graph) -> Classification:
-    """Recognize the graph classes the structural results quantify over."""
+    """Recognize the graph classes the structural results quantify over.
+
+    K_{r,s} is read off the rows: with B = N(0) and A = V - B, so 0 in A, a
+    connected g is K_{|A|,|B|} iff B is non-empty, every a in A has row B
+    and every b in B has row A.  complete_bipartite is (r, s) sorted."""
     blocks = decompose(g).bcc  # raises DisconnectedError on a disconnected g
     n, m = g.n, g.m
     tree = m == n - 1
     star = tree and any(g.degree(v) == n - 1 for v in range(n))
 
     krs = None
-    side = kernels.bipartite_side(g.adj)
-    if side >= 0 and n >= 2:
-        r, s = sorted((side.bit_count(), n - side.bit_count()))
-        if r >= 1 and m == r * s:
-            krs = (r, s)
+    b_side = g.adj[0]
+    a_side = (1 << n) - 1 & ~b_side
+    if b_side and all(row == (a_side if b_side >> v & 1 else b_side)
+                      for v, row in enumerate(g.adj)):
+        krs = tuple(sorted((a_side.bit_count(), b_side.bit_count())))
 
     block_graph = True
     cactus = True

@@ -46,6 +46,17 @@ def is_connected(n, edges):
     return all(x is not None for x in distances(n, edges, 0))
 
 
+def reach(n, edges, src, allowed):
+    """(seen, total, ecc) of a BFS from src in the subgraph induced by src
+    and the vertices of the bitmask allowed: seen as a bitmask, total the
+    sum of the reached vertices' distances and ecc the largest."""
+    inside = allowed | 1 << src
+    sub = [(a, b) for a, b in edges if inside >> a & 1 and inside >> b & 1]
+    found = [(v, d) for v, d in enumerate(distances(n, sub, src)) if d is not None]
+    return (sum(1 << v for v, _ in found), sum(d for _, d in found),
+            max(d for _, d in found))
+
+
 def bipartite_side(n, edges):
     """Bitmask of the colour-1 vertices of the 2-colouring in which the
     lowest vertex of each component has colour 0; None if an odd cycle

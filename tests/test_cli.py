@@ -197,7 +197,8 @@ class TestTheory:
         assert rep["bipartite"] and rep["strict_witness"] is not None
         assert counts["aggregate_swaps"] == 1
         assert counts["LayerProfile"] == FAR14.n
-        # the CLI's bipartite flag and strict_witness's own guard
+        # the CLI's bipartite flag and strict_witness's own guard; the guard
+        # checks the argument of a public function, so it stays
         assert counts["bipartite_side"] == 2
         assert structure.decompose.cache_info().misses == 1
         # the aggregate: one BFS from each component vertex, which also gives

@@ -6,8 +6,6 @@ from hypothesis import given, strategies as st
 from swapeq import kernels
 from swapeq.equilibrium import (
     Deviation,
-    apply_deviation,
-    best_response_step,
     cost_delta,
     enumerate_deviations,
     is_equilibrium,
@@ -43,31 +41,31 @@ class TestEnumerate:
 
 
 class TestApply:
+    # a swap is applied by Graph.replace_edge(agent, drop, add)
     def test_p4(self):
-        g2 = apply_deviation(path(4), Deviation(0, 1, 2))
+        g2 = path(4).replace_edge(0, 1, 2)
         assert set(g2.edges) == {(0, 2), (1, 2), (2, 3)}
 
     def test_c4(self):
-        g2 = apply_deviation(cycle(4), Deviation(0, 1, 2))
+        g2 = cycle(4).replace_edge(0, 1, 2)
         assert set(g2.edges) == {(0, 2), (0, 3), (1, 2), (2, 3)}
 
     def test_involution(self):
         g = cycle(5)
-        d = Deviation(0, 1, 3)
-        g2 = apply_deviation(g, d)
-        g3 = apply_deviation(g2, Deviation(0, 3, 1))
+        g2 = g.replace_edge(0, 1, 3)
+        g3 = g2.replace_edge(0, 3, 1)
         assert g3 == g
 
     def test_edge_count_preserved(self):
         g = cycle(5)
         for d in enumerate_deviations(g, 0):
-            assert apply_deviation(g, d).m == g.m
+            assert g.replace_edge(d.agent, d.drop, d.add).m == g.m
 
     def test_invalid(self):
         with pytest.raises(GraphError):
-            apply_deviation(path(4), Deviation(0, 2, 3))  # not an edge
+            Deviation(0, 2, 3).validate(path(4))  # not an edge
         with pytest.raises(GraphError):
-            apply_deviation(path(4), Deviation(0, 1, 0))  # add to self
+            Deviation(0, 1, 0).validate(path(4))  # add to self
 
 
 class TestCostDelta:
@@ -98,7 +96,7 @@ def check_cost_deltas(g):
     for u in range(g.n):
         base = oracle.sum_distances(g.n, g.edges, u)
         for d in enumerate_deviations(g, u):
-            expect = oracle.sum_distances(g.n, apply_deviation(g, d).edges, u)
+            expect = oracle.sum_distances(g.n, g.replace_edge(u, d.drop, d.add).edges, u)
             got = cost_delta(g, d)
             if expect is None:
                 assert got is INF
@@ -183,21 +181,21 @@ class TestDynamics:
     def test_states_differ_by_one_swap(self):
         trace = run_dynamics(path(6), 50)
         for before, move, after in zip(trace.states, trace.moves, trace.states[1:]):
-            assert apply_deviation(before, move) == after
+            move.validate(before)
+            assert before.replace_edge(move.agent, move.drop, move.add) == after
             assert before.m == after.m
 
     def test_best_response_p4(self):
-        step = best_response_step(path(4))
-        assert step is not None
-        assert step[0] == Deviation(0, 1, 2)
+        assert run_dynamics(path(4), 1).moves == (Deviation(0, 1, 2),)
 
     def test_best_response_none_on_k4(self):
-        assert best_response_step(complete(4)) is None
+        trace = run_dynamics(complete(4), 1)
+        assert trace.outcome == "converged" and trace.moves == ()
 
     def test_best_response_c6(self):
-        step = best_response_step(cycle(6))
-        assert step is not None
-        assert cost_delta(cycle(6), step[0]) == -1
+        moves = run_dynamics(cycle(6), 1).moves
+        assert len(moves) == 1
+        assert cost_delta(cycle(6), moves[0]) == -1
 
     @pytest.mark.parametrize("n", [4, 5, 6])
     def test_converges_on_paths_and_cycles(self, n):
@@ -208,15 +206,12 @@ class TestDynamics:
 
     def test_connectivity_tested_once(self, monkeypatch):
         # an improving swap keeps the agent connected to everybody, so only
-        # the start graph needs the test; best_response_step keeps its own
+        # the start graph needs the test
         calls = []
         real = kernels.is_connected
         monkeypatch.setattr(kernels, "is_connected", lambda adj: calls.append(adj) or real(adj))
         trace = run_dynamics(path(6), 50)
         assert len(trace.moves) >= 2 and calls == [path(6).adj]
-        calls.clear()
-        best_response_step(path(6))
-        assert calls == [path(6).adj]
 
 
 @pytest.mark.parametrize("g", [build_graph(4, [(0, 1), (2, 3)]), build_graph(3, [])],
@@ -224,8 +219,6 @@ class TestDynamics:
 def test_disconnected_rejected(g):
     with pytest.raises(DisconnectedError):
         is_equilibrium(g)
-    with pytest.raises(DisconnectedError):
-        best_response_step(g)
     for step_limit in (0, 50):
         with pytest.raises(DisconnectedError):
             run_dynamics(g, step_limit)

@@ -69,7 +69,7 @@ def test_pendant_world_callers():
 
 def test_one_family_simulator():
     # aggregate_swaps is the theory layer's only simulator of swap families;
-    # the other row edits are the kernel's swap, the graph's and a deviation's
+    # the other row edits are the kernel's swap, the graph's and a dynamics step
     found = {
         (path.name, fn.name)
         for path in sorted(PACKAGE.glob("*.py"))
@@ -80,7 +80,7 @@ def test_one_family_simulator():
         and ast.unparse(node.func).split(".")[-1] in ("swapped_rows", "replace_edge")
     }
     assert found == {("kernels.py", "swapped_sum_dist"), ("graph.py", "replace_edge"),
-                     ("equilibrium.py", "apply_deviation"), ("theory.py", "aggregate_swaps")}
+                     ("equilibrium.py", "run_dynamics"), ("theory.py", "aggregate_swaps")}
     # and theory keeps nothing from one request to the next
     theory = ast.parse((PACKAGE / "theory.py").read_text())
     names = {getattr(node, attr, None) for node in ast.walk(theory) for attr in ("id", "attr", "name")}
@@ -179,15 +179,36 @@ def test_decompose_is_the_one_cached_structure():
 
 
 def test_one_traversal_per_structural_answer():
-    # decompose reads its components off its own lowpoint DFS and
-    # is_bipartite colours in its own witness BFS: neither calls a kernel
+    # decompose reads its components off its own lowpoint DFS,
+    # is_bipartite colours in its own witness BFS and classify reads K_{r,s}
+    # off the rows: none calls a kernel
     tree = ast.parse((PACKAGE / "structure.py").read_text())
     uses_kernels = {
         fn.name: any(isinstance(node, ast.Name) and node.id == "kernels" for node in ast.walk(fn))
         for fn in tree.body
-        if isinstance(fn, ast.FunctionDef) and fn.name in ("decompose", "is_bipartite")
+        if isinstance(fn, ast.FunctionDef) and fn.name in ("decompose", "is_bipartite", "classify")
     }
-    assert uses_kernels == {"decompose": False, "is_bipartite": False}
+    assert uses_kernels == {"decompose": False, "is_bipartite": False, "classify": False}
+
+
+def test_no_unused_imports():
+    # pyflakes' unused-import check: every name an import binds is read in
+    # its module, and a name in __all__ counts as read
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        bound = {
+            (alias.asname or alias.name).split(".")[0]: node.lineno
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__"
+            for alias in node.names
+        }
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "__all__":
+                used |= set(ast.literal_eval(node.value))
+        found += [f"{path.name}:{line} {name}" for name, line in bound.items() if name not in used]
+    assert sorted(PACKAGE.glob("*.py")) and found == []
 
 
 def test_readme_quick_start_runs():

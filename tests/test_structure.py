@@ -7,7 +7,7 @@ from networkx.algorithms.connectivity import bridge_components
 
 from swapeq import kernels
 from swapeq.families import complete, complete_bipartite, cycle, path, star
-from swapeq.graph import GraphError, build_graph
+from swapeq.graph import GraphError, build_graph, graph_from_adj
 from swapeq.structure import (
     DisconnectedError,
     block_vertices,
@@ -19,6 +19,15 @@ from swapeq.structure import (
 from swapeq.survey import enumerate_labeled_connected
 
 import oracle
+
+
+def connected_labeled(case):
+    """Every connected labeled graph on n vertices, or 300 of those on 6."""
+    if case == "n6-sample":
+        return random.Random(66).sample(list(enumerate_labeled_connected(6)), 300)
+    if case < 3:
+        return [build_graph(case, [(0, 1)][:case - 1])]
+    return list(enumerate_labeled_connected(case))
 
 
 def c4_pendant():
@@ -141,6 +150,18 @@ class TestPendantWorlds:
                 assert sum(len(w) for w in worlds) == g.n
                 assert frozenset().union(*worlds) == frozenset(range(g.n))
 
+    @pytest.mark.parametrize("case", [1, 2, 3, 4, 5, "n6-sample"])
+    def test_matches_oracle(self, case):
+        # W(u) is what a BFS from u reaches through the vertices outside the
+        # component, on every tecc and every block
+        for g in connected_labeled(case):
+            dec = decompose(g)
+            for comp in list(dec.tecc) + [block_vertices(b) for b in dec.bcc]:
+                outside = sum(1 << v for v in range(g.n) if v not in comp)
+                for u in comp:
+                    seen = oracle.reach(g.n, g.edges, u, outside)[0]
+                    assert pendant_world(g, comp, u) == {v for v in range(g.n) if seen >> v & 1}
+
 
 class TestBipartite:
     def test_c4(self):
@@ -219,9 +240,31 @@ class TestClassify:
             if c.tree:
                 assert c.block_graph and c.cactus
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_complete_bipartite_every_labeled_graph(self, n):
+        for g in connected_labeled(n):
+            assert classify(g).complete_bipartite == oracle_krs(g)
+
+    def test_complete_bipartite_on_classes(self, graph_classes):
+        for n, classes in graph_classes.items():
+            for bits in classes:
+                g = graph_from_adj(n, kernels.triangle_rows(n, bits))
+                if kernels.is_connected(g.adj):
+                    assert classify(g).complete_bipartite == oracle_krs(g)
+
     def test_disconnected(self):
         g = build_graph(4, [(0, 1), (2, 3)])
         for _ in range(2):  # a raise is never cached
             with pytest.raises(DisconnectedError):
                 classify(g)
 
+
+def oracle_krs(g):
+    """(r, s), r <= s, when the oracle's 2-colouring has sides of r and s
+    vertices and g has r * s edges; None otherwise."""
+    side = oracle.bipartite_side(g.n, g.edges)
+    if side is None:
+        return None
+    ones = bin(side).count("1")
+    r, s = sorted((ones, g.n - ones))
+    return (r, s) if r >= 1 and g.m == r * s else None

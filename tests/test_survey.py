@@ -280,6 +280,22 @@ class TestRunSurvey:
         }
         assert classes == expected_reps
 
+    def test_one_bipartiteness_test_per_graph(self, monkeypatch):
+        # the scan's 2-colouring is the only one: classify reads K_{r,s} off
+        # the rows, so a record's class and the bipartite_krs claim add none
+        calls = []
+        real = kernels.bipartite_side
+        monkeypatch.setattr(kernels, "bipartite_side", lambda adj: calls.append(adj) or real(adj))
+        res = run_survey(SurveyConfig(n=5))
+        assert len(res.records) == 728
+        assert calls == [_graph_of(r).adj for r in res.records]
+        calls.clear()
+        graphs = [path(4), cycle(4), complete_bipartite(2, 3), complete(4),
+                  build_graph(4, [(0, 1), (2, 3)])]
+        res = run_survey(SurveyConfig(graph6_lines=tuple(encode_graph6(g) for g in graphs)))
+        assert len(res.records) == 5
+        assert calls == [g.adj for g in graphs]
+
     def test_claim_subset(self):
         res = run_survey(SurveyConfig(n=4, claims=("tree_star", "delta_nonpos")))
         assert set(res.summary.claim_counts) == {"tree_star", "delta_nonpos"}
