@@ -281,9 +281,10 @@ class CanonicalForm:
         return graph_from_adj(self.n, kernels.triangle_rows(self.n, self.bits))
 
 
-def _canonical_bits(adj) -> tuple[int, int]:
-    """(bits, aut): the minimum over all vertex orders of the column-major
-    upper triangle of adjacency rows, and the number of orders that reach it.
+def _canonical_bits(adj) -> tuple[int, int, list]:
+    """(bits, aut, gens): the minimum over all vertex orders of the
+    column-major upper triangle of adjacency rows, the number of orders that
+    reach it, and permutations that generate the automorphism group.
 
     Column k holds the adjacency of the k-th vertex placed to the vertices
     placed before it, the first of them as the high bit.  Columns have fixed
@@ -301,6 +302,19 @@ def _canonical_bits(adj) -> tuple[int, int]:
     group, so aut is |Aut|.  None of them is cut, and a twin branch not
     taken reaches as many as the branch of its tried twin, so each branch
     counts once per unused member of its twin class.
+
+    gens act on the canonical labelling, where vertex i is the i-th vertex
+    of the first order that reached the minimum, so each one maps
+    triangle_rows(n, bits) onto itself.  They are:
+
+    - for each twin class, the transpositions of its least member with each
+      other member;
+    - for each other order that reaches the minimum, its quotient against
+      the first one.
+
+    Together they generate Aut: an order that reaches the minimum and is
+    not reached is a reached one with unused twins swapped at the nodes
+    where a twin branch was skipped, and each such swap is an automorphism.
     """
     n = len(adj)
     twins = [0] * n
@@ -311,17 +325,20 @@ def _canonical_bits(adj) -> tuple[int, int]:
     width = n * (n - 1) // 2
     best = -1
     aut = 0
+    order = [0] * n  # order[i]: the i-th vertex placed on the current path
+    leaves: list = []  # the orders that reached best, the first one first
 
     def rec(k: int, free: int, prefix: int, rest: list, orders: int) -> None:
         # rest: (column, x) for each unused x, the column its adjacency to
         # the k vertices placed so far; free: the unused vertices as a mask;
         # orders: the vertex orders this node stands for
-        nonlocal best, aut
+        nonlocal best, aut, leaves
         if not rest:
             if best < 0 or prefix < best:
-                best, aut = prefix, orders
+                best, aut, leaves = prefix, orders, [order[:]]
             elif prefix == best:
                 aut += orders
+                leaves.append(order[:])
             return
         low = min(rest)[0]
         prefix = (prefix << k) | low
@@ -333,12 +350,23 @@ def _canonical_bits(adj) -> tuple[int, int]:
                 continue
             tried |= 1 << x
             row = adj[x]
+            order[k] = x
             rec(k + 1, free & ~(1 << x), prefix,
                 [(d << 1 | row >> y & 1, y) for d, y in rest if y != x],
                 orders * (1 + (twins[x] & free).bit_count()))
 
     rec(0, (1 << n) - 1, 0, [(0, x) for x in range(n)], 1)
-    return best, aut
+    pos = [0] * n  # canonical label of each vertex
+    for i, x in enumerate(leaves[0]):
+        pos[x] = i
+    gens = [tuple(pos[x] for x in leaf) for leaf in leaves[1:]]
+    for x, tw in enumerate(twins):
+        y = (tw & -tw).bit_length() - 1
+        if 0 <= y < x:  # y is the least of x's twin class
+            swap = list(range(n))
+            swap[pos[x]], swap[pos[y]] = pos[y], pos[x]
+            gens.append(tuple(swap))
+    return best, aut, gens
 
 
 def canonical_form(g: Graph) -> CanonicalForm:
@@ -352,35 +380,92 @@ def canonical_graph(g: Graph) -> Graph:
     return canonical_form(g).graph()
 
 
+def _orbit_minima(m: int, gens) -> list:
+    """The subsets of range(m), as masks, that are the least of their orbit
+    under the group that the permutations gens generate; one flood over all
+    2^m subsets."""
+    size = 1 << m
+    images = []  # images[i][s]: the image of subset s under gens[i]
+    for perm in gens:
+        image = [0] * size
+        for s in range(1, size):
+            low = s & -s
+            image[s] = image[s ^ low] | 1 << perm[low.bit_length() - 1]
+        images.append(image)
+    seen = bytearray(size)
+    minima = []
+    for s in range(size):
+        if seen[s]:
+            continue
+        # every smaller subset's orbit is flooded, so s is its orbit's least
+        minima.append(s)
+        seen[s] = 1
+        stack = [s]
+        while stack:
+            t = stack.pop()
+            for image in images:
+                u = image[t]
+                if not seen[u]:
+                    seen[u] = 1
+                    stack.append(u)
+    return minima
+
+
+def _neighbour_degrees(row: int, deg: list) -> list:
+    """The degrees of row's vertices, ascending."""
+    return sorted(d for v, d in enumerate(deg) if row >> v & 1)
+
+
 def _graph_classes(n: int, progress: bool = False) -> dict:
     """Canonical bits -> |Aut| for every graph on n vertices up to isomorphism.
 
-    Level k extends each class on k - 1 vertices by a new vertex, in every
-    way that leaves the new vertex of minimum degree.  Deleting a vertex of
-    minimum degree from any graph on k vertices leaves a graph on k - 1, so
-    every class is reached, and canonical bits merge the repeats (orderly
-    generation; McKay, "Isomorph-free exhaustive generation", J. Algorithms
-    1998).  The survey's n <= 8 keeps the canonical search within its cap.
+    Level k extends each class P on k - 1 vertices by a new vertex v,
+    joined to a set S of P's vertices, and searches the child only if:
+
+    - S is the least of its orbit under Aut(P), read off the generators
+      that P's canonical search returned;
+    - v is of minimum degree in the child;
+    - no other vertex of minimum degree has a larger sorted tuple of
+      neighbour degrees than v.
+
+    Every class is still reached.  In a graph G on k vertices, take a vertex
+    u of minimum degree whose neighbour degree tuple is the largest among
+    them.  G - u is isomorphic to some P, so an isomorphism sends G to P + S
+    for some S, and u to v.  Some a in Aut(P) sends S to the least S' of its
+    orbit, and a, extended by v -> v, sends P + S to P + S'.  Degrees and
+    degree tuples are invariant under isomorphism, so v passes both degree
+    tests in P + S'.  This needs only that every generator is an
+    automorphism; that they generate all of Aut(P) keeps the candidates
+    few.  Canonical bits merge the repeats that remain (canonical
+    augmentation; McKay, "Isomorph-free exhaustive generation",
+    J. Algorithms 1998).  Each level's generators are dropped once the
+    next level is built.  The survey's n <= 8 keeps the canonical search
+    within its cap.
     """
-    level = {0: 1}  # the one graph on a single vertex
+    level = {0: (1, [])}  # the one graph on a single vertex
     for k in range(2, n + 1):
         new = 1 << (k - 1)
         found: dict = {}
-        for bits in level:
+        for bits, (_, gens) in level.items():
             rows = kernels.triangle_rows(k - 1, bits)
             degs = [r.bit_count() for r in rows]
-            for nbrs in range(new):
+            for nbrs in _orbit_minima(k - 1, gens):
                 d = nbrs.bit_count()
-                if any(deg + (nbrs >> v & 1) < d for v, deg in enumerate(degs)):
+                deg = [c + (nbrs >> v & 1) for v, c in enumerate(degs)] + [d]  # the child's
+                if min(deg) < d:
                     continue
                 adj = [r | new if nbrs >> v & 1 else r for v, r in enumerate(rows)]
                 adj.append(nbrs)
-                form, aut = _canonical_bits(adj)
-                found.setdefault(form, aut)
+                mine = _neighbour_degrees(nbrs, deg)
+                if any(deg[u] == d and _neighbour_degrees(adj[u], deg) > mine
+                       for u in range(k - 1)):
+                    continue
+                form, aut, child_gens = _canonical_bits(adj)
+                found.setdefault(form, (aut, child_gens))
         level = found
         if progress:
             print(f"survey: level {k}/{n}, {len(level)} classes", file=sys.stderr)
-    return level
+    return {bits: aut for bits, (aut, _) in level.items()}
 
 
 def _labeled_masks(adj) -> list[int]:

@@ -32,7 +32,28 @@ def pytest_terminal_summary(terminalreporter):
 
 
 @pytest.fixture(scope="session")
-def graph_classes():
+def graph_class_searches():
+    """({n: canonical bits -> |Aut|}, {n: canonical searches}) for every
+    graph on n = 1..8 vertices up to isomorphism, with the number of
+    canonical searches that generating each n made.  Generating n = 8 takes
+    about 5 s, so it is done once."""
+    classes, searches = {}, {}
+    search = survey._canonical_bits
+
+    def counted(adj):
+        searches[n] += 1
+        return search(adj)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(survey, "_canonical_bits", counted)
+        for n in range(1, 9):
+            searches[n] = 0
+            classes[n] = survey._graph_classes(n)
+    return classes, searches
+
+
+@pytest.fixture(scope="session")
+def graph_classes(graph_class_searches):
     """Canonical bits -> |Aut| for every graph on n = 1..8 vertices up to
-    isomorphism.  Generating n = 8 takes about 10 s, so it is done once."""
-    return {n: survey._graph_classes(n) for n in range(1, 9)}
+    isomorphism."""
+    return graph_class_searches[0]

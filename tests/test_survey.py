@@ -76,6 +76,8 @@ _TWIN_HEAVY = {
     "doubled_star_7": build_graph(7, [(0, 1)] + [(c, v) for c in (0, 1) for v in range(2, 7)]),
     "doubled_star_8": build_graph(8, [(0, 1)] + [(c, v) for c in (0, 1) for v in range(2, 8)]),
 }
+_TWIN_HEAVY_AUT = {"K8": 40_320, "K44": 2 * 24 * 24, "K17": 5_040, "K2222": 24 * 2 ** 4,
+                   "doubled_star_7": 2 * 120, "doubled_star_8": 2 * 720}
 
 
 class TestCanonicalForm:
@@ -236,10 +238,35 @@ class TestGraphClasses:
     def test_aut_twin_heavy(self, name):
         # twin pruning skips the most branches here; each must still count
         g = _TWIN_HEAVY[name]
-        aut = {"K8": 40_320, "K44": 2 * 24 * 24, "K17": 5_040, "K2222": 24 * 2 ** 4,
-               "doubled_star_7": 2 * 120, "doubled_star_8": 2 * 720}[name]
+        aut = _TWIN_HEAVY_AUT[name]
         assert survey._canonical_bits(g.adj)[1] == aut
         assert survey._canonical_bits(_relabelled(g, random.Random(name)).adj)[1] == aut
+
+    def test_one_search_per_class_nearly(self, graph_class_searches):
+        # orbit pruning and the degree invariant leave few repeats; a generator
+        # left out or an invariant that filters less shows here first
+        searches = graph_class_searches[1]
+        assert searches[6] == 209  # 156 classes on 6 vertices, 207 on 2..6
+        assert searches[8] <= 14_500  # 12,346 classes; 32,886 without pruning
+
+    def test_keys_match_the_atlas_n_le_7(self, graph_classes):
+        atlas = {n: set() for n in range(1, 8)}
+        for h in nx.graph_atlas_g()[1:]:
+            n = h.number_of_nodes()
+            atlas[n].add(canonical_form(build_graph(n, list(h.edges()))).bits)
+        for n in range(1, 8):
+            assert set(graph_classes[n]) == atlas[n], n
+
+    def test_generators_n_le_6(self, graph_classes):
+        for n in range(1, 7):
+            for bits, aut in graph_classes[n].items():
+                _check_generators(kernels.triangle_rows(n, bits), aut)
+
+    @pytest.mark.parametrize("name", sorted(_TWIN_HEAVY))
+    def test_generators_twin_heavy(self, name):
+        g = _TWIN_HEAVY[name]
+        _check_generators(g.adj, _TWIN_HEAVY_AUT[name])
+        _check_generators(_relabelled(g, random.Random(name)).adj, _TWIN_HEAVY_AUT[name])
 
     def test_labeled_masks_are_the_class(self):
         for g in (path(4), cycle(5), paw(), star(5)):
@@ -249,6 +276,29 @@ class TestGraphClasses:
             form = canonical_form(g)
             assert all(canonical_form(graph_from_adj(g.n, kernels.mask_to_adj(g.n, m))) == form
                        for m in masks)
+
+
+def _check_generators(adj, aut):
+    """The generators the canonical search returns for adj are automorphisms
+    of its canonical graph, and the group they generate has order aut."""
+    n = len(adj)
+    bits, _, gens = survey._canonical_bits(adj)
+    rows = kernels.triangle_rows(n, bits)
+    for perm in gens:
+        image = [0] * n
+        for i, row in enumerate(rows):
+            image[perm[i]] = sum(1 << perm[j] for j in range(n) if row >> j & 1)
+        assert tuple(image) == rows, perm
+    group = {tuple(range(n))}
+    frontier = list(group)
+    while frontier:
+        p = frontier.pop()
+        for perm in gens:
+            q = tuple(perm[i] for i in p)
+            if q not in group:
+                group.add(q)
+                frontier.append(q)
+    assert len(group) == aut
 
 
 class TestRunSurvey:
