@@ -125,8 +125,8 @@ def pendant_world(g: Graph, component, u: int):
     if u not in comp:
         raise GraphError(f"vertex {u} not in the component")
     outside = ~sum(1 << v for v in comp)
-    # reach always keeps its source, so u is the one component vertex in W(u)
-    world = kernels.reach([r & outside for r in g.adj], u)[0]
+    # every ball keeps its source, so u is the one component vertex in W(u)
+    world = kernels.balls([r & outside for r in g.adj], u)[-1]
     return frozenset(v for v in range(g.n) if world >> v & 1)
 
 

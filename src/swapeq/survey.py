@@ -43,12 +43,13 @@ _SLOT = {HOLDS: 0, VIOLATED: 1, NOT_APPLICABLE: 2}  # index into a claim's count
 
 
 class _Facts:
-    """What the claims read about one connected graph.  The classification
-    and the diameter are computed on first use, at most once per graph, and
-    the record reuses them."""
+    """What the claims read about one graph.  The classification and the
+    diameter are computed on first use, at most once per graph, and the
+    record reuses them."""
 
-    def __init__(self, g: Graph, eq: bool, bip: bool):
+    def __init__(self, g: Graph, connected: bool, eq: bool, bip: bool):
         self.g = g
+        self.connected = connected
         self.eq = eq
         self.bip = bip
         m = g.m
@@ -481,15 +482,15 @@ def _labeled_masks(adj) -> list[int]:
 
 
 def _check(f: _Facts, claims, violations: list) -> dict:
-    """claim -> status for one connected graph; appends (claim, detail) to
-    violations for each claim that fails."""
+    """claim -> status for one graph; appends (claim, detail) to violations
+    for each claim that fails.  No claim applies to a disconnected graph."""
     out = {}
     for claim in claims:
         try:
             applies, detail = _CLAIMS[claim]
         except KeyError:
             raise SurveyConfigError(f"unknown claim {claim!r}") from None
-        if not applies(f):
+        if not (f.connected and applies(f)):
             out[claim] = NOT_APPLICABLE
             continue
         why = detail(f)
@@ -503,8 +504,9 @@ def _check(f: _Facts, claims, violations: list) -> dict:
 
 def verify_claims(g: Graph, verdict: EquilibriumVerdict, claims=CLAIM_NAMES) -> dict:
     """Public per-graph claim evaluation; returns claim -> status string."""
-    bip = kernels.bipartite_side(g.adj) >= 0
-    return _check(_Facts(g, verdict.is_equilibrium, bip), claims, [])
+    facts = _Facts(g, kernels.is_connected(g.adj), verdict.is_equilibrium,
+                   kernels.bipartite_side(g.adj) >= 0)
+    return _check(facts, claims, [])
 
 
 def _scanned(kind, payload):
@@ -567,16 +569,13 @@ def _process_chunk(task):
                     raise GraphError(
                         f"graph6 line {position} ({encode_graph6(g)}): {err}") from err
         found: list = []
-        if connected:
-            facts = _Facts(g, eq, bip)
-            statuses = _check(facts, claims, found)
-        else:
-            statuses = dict.fromkeys(claims, NOT_APPLICABLE)
+        facts = _Facts(g, connected, eq, bip)
+        statuses = _check(facts, claims, found)
         if found and form is not None:
             for mask in _labeled_masks(g.adj):
                 copy = graph_from_adj(g.n, kernels.mask_to_adj(g.n, mask))
                 found = []
-                for c, s in _check(_Facts(copy, eq, bip), claims, found).items():
+                for c, s in _check(_Facts(copy, True, eq, bip), claims, found).items():
                     counts[c][_SLOT[s]] += 1
                 if found:
                     flagged.append((mask, encode_graph6(copy), found))

@@ -102,8 +102,8 @@ def test_distances(case):
             dist = oracle.distances(n, edges, src)
             assert kernels.bfs_dists(adj, src) == [neg1(d) for d in dist]
             assert kernels.sum_dist(adj, src) == neg1(oracle.sum_distances(n, edges, src))
-            ecc = None if None in dist else max(dist)
-            assert kernels.eccentricity(adj, src) == neg1(ecc)
+            if None not in dist:
+                assert len(kernels.balls(adj, src)) - 1 == max(dist)
 
 
 @pytest.mark.parametrize("case", CASES)
@@ -122,10 +122,15 @@ def test_balls(case):
 
 @pytest.mark.parametrize("case", [1, 2, 3, 4, 5, "n6-sample"])
 def test_reach(case):
+    # what a BFS from src reaches, its eccentricity there and its distance
+    # total, read off balls and sum_dist, the two frontier loops
     for n, adj, edges in labeled_graphs(case):
         full = (1 << n) - 1
         for src in range(n):
-            assert kernels.reach(adj, src) == oracle.reach(n, edges, src, full)
+            seen, total, ecc = oracle.reach(n, edges, src, full)
+            got = kernels.balls(adj, src)
+            assert (got[-1], len(got) - 1) == (seen, ecc)
+            assert kernels.sum_dist(adj, src) == (total if seen == full else -1)
 
 
 @pytest.mark.parametrize("case", CASES)
@@ -139,11 +144,14 @@ def test_global_properties(case):
 
 
 def test_bipartite_side_on_classes(graph_classes):
-    """The mask, on every graph with n <= 8 up to isomorphism."""
+    """The mask, connectivity and the diameter, on every graph with n <= 8
+    up to isomorphism, disconnected ones included."""
     for n, classes in graph_classes.items():
         for bits in classes:
             g = graph_from_adj(n, kernels.triangle_rows(n, bits))
             assert kernels.bipartite_side(g.adj) == neg1(oracle.bipartite_side(n, g.edges))
+            assert kernels.is_connected(g.adj) == oracle.is_connected(n, g.edges)
+            assert kernels.diameter(g.adj) == neg1(oracle.diameter(n, g.edges))
 
 
 @pytest.mark.parametrize("case", CASES)
@@ -227,14 +235,14 @@ def pair(u, v, vp):
 
 def far_agents(adj):
     """Agents of eccentricity >= 3: the only ones that can improve."""
-    return {u for u in range(len(adj)) if kernels.eccentricity(adj, u) >= 3}
+    return {u for u in range(len(adj)) if len(kernels.balls(adj, u)) - 1 >= 3}
 
 
 @pytest.mark.parametrize("g6", DIAMETER3_N8)
 def test_diameter3_equilibria_n8(g6, monkeypatch):
     g = parse_graph6(g6)
     edges = list(g.edges)
-    eccs = {kernels.eccentricity(g.adj, u) for u in range(g.n)}
+    eccs = {len(kernels.balls(g.adj, u)) - 1 for u in range(g.n)}
     assert eccs == {2, 3}
     assert oracle.equilibrium(g.n, edges) == (True, None)
     assert oracle_best(oracle_deltas(g.n, edges)) is None

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -27,9 +28,10 @@ FRONTIER_STEP = re.compile(r"\w+ \|= [\w.]+\[\w+\.bit_length\(\) - 1\]")
 
 
 def test_one_bfs_loop():
-    # every BFS frontier is expanded by kernels.reach, which keeps the last
-    # ball and its distance total, or kernels.balls, which keeps the ball of
-    # every radius
+    # every BFS frontier is expanded by kernels.balls, which keeps the ball
+    # of every radius, except sum_dist's, which keeps only the distance total
+    # because it is called once per evaluated swap and is the independent
+    # side of aggregate_swaps' accounting identity
     found = {
         (path.name, fn.name)
         for path in sorted(PACKAGE.glob("*.py"))
@@ -38,7 +40,7 @@ def test_one_bfs_loop():
         for node in ast.walk(fn)
         if isinstance(node, ast.AugAssign) and FRONTIER_STEP.fullmatch(ast.unparse(node))
     }
-    assert found == {("kernels.py", "reach"), ("kernels.py", "balls")}
+    assert found == {("kernels.py", "balls"), ("kernels.py", "sum_dist")}
 
 
 def test_version_matches_pyproject():
@@ -209,6 +211,45 @@ def test_no_unused_imports():
                 used |= set(ast.literal_eval(node.value))
         found += [f"{path.name}:{line} {name}" for name, line in bound.items() if name not in used]
     assert sorted(PACKAGE.glob("*.py")) and found == []
+
+
+def _reads(node):
+    """Count of each name node reads: loaded names and attributes, and the
+    names a from-import takes."""
+    found = Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            found[sub.id] += 1
+        elif isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
+            found[sub.attr] += 1
+        elif isinstance(sub, ast.ImportFrom):
+            found.update(alias.name for alias in sub.names)
+    return found
+
+
+# top-level names that no module of the package reads, and why they stay
+READ_OUTSIDE_PACKAGE = {
+    ("survey.py", "canonical_graph"): "perfbench times it as survey.canonical_graph.s",
+    ("survey.py", "verify_claims"): "perfbench replays each claim through it",
+    ("survey.py", "enumerate_labeled_connected"): "only the tests read it (ROADMAP item 3)",
+}
+
+
+def test_no_dead_source_names():
+    # every top-level function and class is read in some module of the
+    # package, its own body aside; the families constructors are for users
+    # and tests
+    trees = {path.name: ast.parse(path.read_text(), str(path))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    read = sum(map(_reads, trees.values()), Counter())
+    dead = {
+        (name, node.name)
+        for name, tree in trees.items() if name != "families.py"
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and read[node.name] == _reads(node)[node.name]
+    }
+    assert trees and dead == set(READ_OUTSIDE_PACKAGE)
 
 
 def test_readme_quick_start_runs():

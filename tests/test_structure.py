@@ -72,14 +72,16 @@ class TestDecompose:
     def test_connectivity_from_own_dfs(self, monkeypatch):
         # no separate connectivity test: a kernel that always answers
         # "connected" changes nothing, and a raise is never cached; the
-        # components come from the same pass, with no flood through reach
+        # components come from the same pass, with no flood through either
+        # BFS loop
         calls = []
         monkeypatch.setattr(kernels, "is_connected", lambda adj: calls.append(adj) or True)
 
         def no_flood(*args):
-            raise AssertionError("decompose flooded with kernels.reach")
+            raise AssertionError("decompose flooded with a kernels BFS loop")
 
-        monkeypatch.setattr(kernels, "reach", no_flood)
+        for loop in ("balls", "sum_dist"):
+            monkeypatch.setattr(kernels, loop, no_flood)
         decompose.cache_clear()
         try:
             assert len(decompose(c4_pendant()).tecc) == 2

@@ -530,6 +530,24 @@ class TestVerifyClaims:
         assert res["bridge_degree"] == "holds"
         assert res["cycle_bounds"] == "holds"
 
+    def test_disconnected_not_applicable(self):
+        # no claim applies to a disconnected graph, whatever the verdict
+        # passed in, and verify_claims agrees with the survey's records
+        lines = ("Gl?GGS", "E]o?")  # C4 + C4 and K_{2,3} + K_1
+        graphs = [parse_graph6(line) for line in lines] + [
+            g for n in range(2, 6) for mask in range(1 << n * (n - 1) // 2)
+            for g in [graph_from_adj(n, kernels.mask_to_adj(n, mask))]
+            if not oracle.is_connected(n, g.edges)]
+        assert [g.m for g in graphs[:2]] == [8, 6] and len(graphs) == 2 + 1 + 4 + 26 + 296
+        none = dict.fromkeys(CLAIM_NAMES, "not_applicable")
+        for g in graphs:
+            for eq in (False, True):
+                assert verify_claims(g, EquilibriumVerdict(eq, None, {})) == none
+        assert [r.claims for r in run_survey(SurveyConfig(graph6_lines=lines)).records] \
+            == [none, none]
+        with pytest.raises(SurveyConfigError):
+            verify_claims(graphs[0], EquilibriumVerdict(False, None, {}), ("nope",))
+
 
 class TestDeterminism:
     @pytest.mark.parametrize("n,workers,cpus,pools,keep_records", [
@@ -676,7 +694,7 @@ class TestViolationReporting:
 
 def _as_equilibrium(g):
     # the facts of g with the verdict forced, so a claim runs on its whole domain
-    return survey._Facts(g, True, bipartite_side(g.adj) >= 0)
+    return survey._Facts(g, kernels.is_connected(g.adj), True, bipartite_side(g.adj) >= 0)
 
 
 def _applies(g, claim):
