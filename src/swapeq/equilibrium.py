@@ -1,16 +1,14 @@
-"""Single-edge swap deviations, their exact cost differences, equilibrium
-verdicts and best-response dynamics.
+"""Equilibrium verdicts, their per-agent minima and best-response dynamics.
 
 A deviation of agent u replaces one incident edge {u, v} by {u, v'}; its
-cost difference is D(u) in the deviated graph minus D(u) in the original,
-with +INF when the swap disconnects the agent from somebody.  A connected
-graph is an equilibrium when every deviation of every agent has
-non-negative cost difference.
+cost difference, read off ``kernels.swapped_sum_dist``, is D(u) in the
+deviated graph minus D(u) in the original, with +INF when the swap
+disconnects the agent from somebody.  A connected graph is an equilibrium
+when every deviation of every agent has non-negative cost difference.
 
-Targets v' already adjacent to u are not enumerated: the swap would merely
-delete {u, v} (the multigraph collapses), and removing an edge never
-shortens any distance, so such a move can never be strictly improving and
-cannot change a verdict.
+Targets v' already adjacent to u are not scanned: the swap would merely
+delete {u, v}, and removing an edge never shortens any distance, so such a
+move can never be strictly improving and cannot change a verdict.
 """
 
 from __future__ import annotations
@@ -20,7 +18,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from . import kernels
-from .graph import INF, Graph, GraphError
+from .graph import INF, Graph
 from .structure import _require_connected
 
 
@@ -31,15 +29,6 @@ class Deviation:
     agent: int
     drop: int
     add: int
-
-    def validate(self, g: Graph) -> None:
-        g.check_vertex(self.agent)
-        g.check_vertex(self.drop)
-        g.check_vertex(self.add)
-        if not g.has_edge(self.agent, self.drop):
-            raise GraphError(f"{self} drops a non-edge")
-        if self.add in (self.agent, self.drop):
-            raise GraphError(f"{self} adds an edge to itself or the dropped end")
 
 
 @dataclass(frozen=True)
@@ -56,58 +45,39 @@ class DynamicsTrace:
     outcome: str  # converged | cycled | step_limit
 
 
-def enumerate_deviations(g: Graph, u: int) -> list[Deviation]:
-    """All swaps available to u, ordered by (drop, add)."""
-    g.check_vertex(u)
-    out = []
-    for v in g.neighbors(u):
-        for vp in range(g.n):
-            if vp == u or vp == v or g.has_edge(u, vp):
-                continue
-            out.append(Deviation(u, v, vp))
-    return out
-
-
-def cost_delta(g: Graph, d: Deviation):
-    """D(agent) after the swap minus before; +INF on disconnection.
-
-    Only distances from the agent change sign-relevantly, so one BFS in the
-    deviated graph suffices.
-    """
-    d.validate(g)
-    before = kernels.sum_dist(g.adj, d.agent)
-    if before < 0:
-        raise GraphError("cost_delta requires a connected graph")
-    after = kernels.swapped_sum_dist(g.adj, d.agent, d.drop, d.add)
-    if after < 0:
-        return INF
-    return after - before
-
-
 def is_equilibrium(g: Graph) -> EquilibriumVerdict:
     """Verdict and witness from ``kernels.first_improving_swap``.
 
     The witness, when present, is the first strictly improving deviation in
     (agent, drop, add) order, paired with its cost delta.  ``per_agent_min``
-    scans every deviation of every agent, but only when it is first read.
+    scans every deviation through the swap kernel, but only on first read.
     """
     _require_connected(g)
     found = kernels.first_improving_swap(g.adj)
     witness = None if found is None else (Deviation(*found[:3]), found[3])
-    return EquilibriumVerdict(found is None, witness, _AgentMinima(g))
+    return EquilibriumVerdict(found is None, witness, _AgentMinima(g.adj))
 
 
 class _AgentMinima(Mapping):
-    """Lazy ``per_agent_min``: every agent's deviations are scanned on first read."""
+    """Lazy ``per_agent_min``: u -> least swapped_sum_dist - sum_dist over v in
+    N(u) and vp outside N[u], INF for a disconnecting swap; no key if u has none."""
 
-    def __init__(self, g: Graph):
-        self._g = g
+    def __init__(self, adj):
+        self._adj = adj
 
     @cached_property
     def _mins(self) -> dict:
-        g = self._g
-        return {u: min(cost_delta(g, d) for d in devs)
-                for u in range(g.n) if (devs := enumerate_deviations(g, u))}
+        adj = self._adj
+        n = len(adj)
+        out = {}
+        for u, row in enumerate(adj):
+            d0 = kernels.sum_dist(adj, u)
+            shut = row | 1 << u
+            d1s = [kernels.swapped_sum_dist(adj, u, v, vp) for v in range(n) if row >> v & 1
+                   for vp in range(n) if not shut >> vp & 1]
+            if d1s:
+                out[u] = min(d1 - d0 if d1 >= 0 else INF for d1 in d1s)
+        return out
 
     def __getitem__(self, u):
         return self._mins[u]

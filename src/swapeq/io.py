@@ -135,9 +135,7 @@ def parse_edge_list(text: str) -> Graph:
     if m < 0:
         raise EdgeListParseError("line 1: negative edge count")
     edges = []
-    lineno = 1
-    for raw in lines[1:]:
-        lineno += 1
+    for lineno, raw in enumerate(lines[1:], 2):
         if len(edges) == m:
             if raw.strip():
                 raise EdgeListParseError(f"line {lineno}: trailing garbage after {m} edges")

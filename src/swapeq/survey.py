@@ -184,6 +184,8 @@ class SurveyConfig:
     progress: bool = False
 
     def __post_init__(self):
+        if isinstance(self.claims, str):
+            raise SurveyConfigError("claims must be a sequence of claim names, got str")
         for k, c in enumerate(self.claims):
             if c not in _CLAIMS:
                 raise SurveyConfigError(
@@ -199,6 +201,8 @@ class SurveyConfig:
                 or not isinstance(self.graph6_lines, (Sequence, type(None))):
             raise SurveyConfigError(f"graph6_lines must be a sequence of lines, "
                                     f"got {type(self.graph6_lines).__name__}")
+        if bad := [x for x in self.graph6_lines or () if not isinstance(x, str)]:
+            raise SurveyConfigError(f"graph6 lines must be str, got {type(bad[0]).__name__}")
         if self.n is not None and self.graph6_lines is not None:
             raise SurveyConfigError("survey takes either n or a graph6 stream, not both")
         if self.n is None and self.graph6_lines is None:
@@ -257,16 +261,6 @@ class SurveySummary:
 class SurveyResult:
     records: list | None
     summary: SurveySummary
-
-
-def enumerate_labeled_connected(n: int):
-    """Every labeled simple connected graph on 0..n-1, by ascending edge mask."""
-    if not isinstance(n, int) or not 3 <= n <= 8:
-        raise SurveyConfigError(f"enumeration supports 3 <= n <= 8, got {n}")
-    for mask in range(1 << (n * (n - 1) // 2)):
-        adj = kernels.mask_to_adj(n, mask)
-        if kernels.is_connected(adj):
-            yield graph_from_adj(n, adj)
 
 
 @dataclass(frozen=True)
@@ -486,10 +480,7 @@ def _check(f: _Facts, claims, violations: list) -> dict:
     for each claim that fails.  No claim applies to a disconnected graph."""
     out = {}
     for claim in claims:
-        try:
-            applies, detail = _CLAIMS[claim]
-        except KeyError:
-            raise SurveyConfigError(f"unknown claim {claim!r}") from None
+        applies, detail = _CLAIMS[claim]
         if not (f.connected and applies(f)):
             out[claim] = NOT_APPLICABLE
             continue
@@ -504,6 +495,10 @@ def _check(f: _Facts, claims, violations: list) -> dict:
 
 def verify_claims(g: Graph, verdict: EquilibriumVerdict, claims=CLAIM_NAMES) -> dict:
     """Public per-graph claim evaluation; returns claim -> status string."""
+    if isinstance(claims, str):
+        raise SurveyConfigError("claims must be a sequence of claim names, got str")
+    if unknown := [c for c in claims if c not in _CLAIMS]:
+        raise SurveyConfigError(f"unknown claim {unknown[0]!r}")
     facts = _Facts(g, kernels.is_connected(g.adj), verdict.is_equilibrium,
                    kernels.bipartite_side(g.adj) >= 0)
     return _check(facts, claims, [])

@@ -25,7 +25,6 @@ from swapeq.structure import decompose
 from swapeq.survey import (
     CLAIM_NAMES,
     SurveyConfig,
-    enumerate_labeled_connected,
     run_survey,
     survey_report,
 )
@@ -37,6 +36,7 @@ from swapeq.theory import (
     strict_witness,
 )
 
+import labeled
 import oracle
 from test_kernels import DIAMETER3_N8
 
@@ -44,7 +44,7 @@ from test_kernels import DIAMETER3_N8
 def bipartite_cyclic_graphs(max_n):
     """Connected bipartite graphs with a cyclic 2-edge-connected component."""
     for n in range(3, max_n + 1):
-        for g in enumerate_labeled_connected(n):
+        for g in labeled.connected(n):
             if g.m >= n and kernels.bipartite_side(g.adj) >= 0:
                 yield g
 
@@ -272,7 +272,7 @@ def test_criterion_7_graph6_roundtrip():
     externally verified fixture strings."""
     count = 0
     for n in range(3, 7):
-        for g in enumerate_labeled_connected(n):
+        for g in labeled.connected(n):
             assert parse_graph6(encode_graph6(g)) == g
             count += 1
     assert count == 4 + 38 + 728 + 26_704

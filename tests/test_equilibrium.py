@@ -4,40 +4,49 @@ import pytest
 from hypothesis import given, strategies as st
 
 from swapeq import kernels
-from swapeq.equilibrium import (
-    Deviation,
-    cost_delta,
-    enumerate_deviations,
-    is_equilibrium,
-    run_dynamics,
-)
+from swapeq.equilibrium import Deviation, is_equilibrium, run_dynamics
 from swapeq.families import complete, complete_bipartite, cycle, path, star
-from swapeq.graph import INF, GraphError, build_graph, graph_from_adj
+from swapeq.graph import INF, build_graph, graph_from_adj
 from swapeq.structure import DisconnectedError
-from swapeq.survey import enumerate_labeled_connected
 
+import labeled
 import oracle
 
 
+def oracle_minima(g):
+    """Agent -> least oracle cost delta over its deviations (INF for a
+    disconnecting one), in agent order; an agent with none has no key."""
+    minima = {}
+    for u, v, vp in oracle.all_deviations(g.n, g.edges):
+        d = oracle.deviation_delta(g.n, g.edges, u, v, vp)
+        d = INF if d is None else d
+        minima[u] = min(minima.get(u, d), d)
+    return minima
+
+
 class TestEnumerate:
+    # per_agent_min has a key exactly for the agents with a deviation
     def test_p4_leaf(self):
-        assert enumerate_deviations(path(4), 0) == [
-            Deviation(0, 1, 2), Deviation(0, 1, 3)]
+        assert [d for d in oracle.all_deviations(4, path(4).edges) if d[0] == 0] == [
+            (0, 1, 2), (0, 1, 3)]
+        assert is_equilibrium(path(4)).per_agent_min[0] == -1
 
     def test_k4_no_targets(self):
-        for u in range(4):
-            assert enumerate_deviations(complete(4), u) == []
+        assert dict(is_equilibrium(complete(4)).per_agent_min) == {}
 
     def test_two_path(self):
-        assert enumerate_deviations(path(2), 0) == []
+        assert dict(is_equilibrium(path(2)).per_agent_min) == {}
 
     @given(st.integers(3, 7), st.data())
     def test_matches_oracle_order(self, n, data):
         mask = data.draw(st.integers(0, (1 << (n * (n - 1) // 2)) - 1))
         g = graph_from_adj(n, kernels.mask_to_adj(n, mask))
-        mine = [(d.agent, d.drop, d.add) for u in range(n)
-                for d in enumerate_deviations(g, u)]
-        assert mine == list(oracle.all_deviations(g.n, g.edges))
+        if not oracle.is_connected(n, g.edges):
+            with pytest.raises(DisconnectedError):
+                is_equilibrium(g)
+            return
+        mine = is_equilibrium(g).per_agent_min
+        assert list(mine.items()) == list(oracle_minima(g).items())
 
 
 class TestApply:
@@ -58,50 +67,50 @@ class TestApply:
 
     def test_edge_count_preserved(self):
         g = cycle(5)
-        for d in enumerate_deviations(g, 0):
-            assert g.replace_edge(d.agent, d.drop, d.add).m == g.m
-
-    def test_invalid(self):
-        with pytest.raises(GraphError):
-            Deviation(0, 2, 3).validate(path(4))  # not an edge
-        with pytest.raises(GraphError):
-            Deviation(0, 1, 0).validate(path(4))  # add to self
+        for u, v, vp in oracle.all_deviations(g.n, g.edges):
+            if u == 0:
+                assert g.replace_edge(u, v, vp).m == g.m
 
 
 class TestCostDelta:
     def test_p4_improving(self):
-        assert cost_delta(path(4), Deviation(0, 1, 2)) == -1
+        assert oracle.deviation_delta(4, path(4).edges, 0, 1, 2) == -1
+        assert is_equilibrium(path(4)).per_agent_min[0] == -1
 
     def test_p4_disconnecting(self):
-        assert cost_delta(path(4), Deviation(2, 3, 0)) is INF
+        # the kernel's -1 counts as INF, so agent 2's other swap is its minimum
+        assert oracle.deviation_delta(4, path(4).edges, 2, 3, 0) is None
+        assert kernels.swapped_sum_dist(path(4).adj, 2, 3, 0) == -1
+        assert oracle.deviation_delta(4, path(4).edges, 2, 1, 0) == 0
+        assert is_equilibrium(path(4)).per_agent_min[2] == 0
 
     def test_star_leaf(self):
-        assert cost_delta(star(3), Deviation(1, 0, 2)) == 1
+        assert oracle.deviation_delta(4, star(3).edges, 1, 0, 2) == 1
+        assert is_equilibrium(star(3)).per_agent_min[1] == 1
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_definitional_consistency(self, n):
         # delta = D(u) in the deviated graph minus D(u) in the original
-        for g in enumerate_labeled_connected(n):
+        for g in labeled.connected(n):
             check_cost_deltas(g)
 
     def test_definitional_consistency_n6_sample(self):
         rng = random.Random(99)
-        pool = list(enumerate_labeled_connected(6))
-        for g in rng.sample(pool, 250):
+        for g in rng.sample(labeled.connected(6), 250):
             check_cost_deltas(g)
 
 
 def check_cost_deltas(g):
-    """cost_delta of every deviation against the oracle's distance sums."""
-    for u in range(g.n):
-        base = oracle.sum_distances(g.n, g.edges, u)
-        for d in enumerate_deviations(g, u):
-            expect = oracle.sum_distances(g.n, g.replace_edge(u, d.drop, d.add).edges, u)
-            got = cost_delta(g, d)
-            if expect is None:
-                assert got is INF
-            else:
-                assert got == expect - base
+    """The swap kernel's delta for every deviation, and per_agent_min with its
+    key order, against the oracle's distance sums."""
+    for u, v, vp in oracle.all_deviations(g.n, g.edges):
+        expect = oracle.deviation_delta(g.n, g.edges, u, v, vp)
+        after = kernels.swapped_sum_dist(g.adj, u, v, vp)
+        if expect is None:
+            assert after == -1
+        else:
+            assert after - kernels.sum_dist(g.adj, u) == expect
+    assert list(is_equilibrium(g).per_agent_min.items()) == list(oracle_minima(g).items())
 
 
 @given(st.integers(2, 7), st.data())
@@ -140,24 +149,25 @@ class TestVerdicts:
         assert v.witness == (Deviation(0, 1, 2), -1)
 
     def test_verdict_matches_min(self):
-        for g in enumerate_labeled_connected(4):
+        for g in labeled.connected(4):
             v = is_equilibrium(g)
             assert v.is_equilibrium == all(m >= 0 for m in v.per_agent_min.values())
 
     def test_randomized_reenumeration(self):
         # independent re-check in shuffled order must agree with the verdict
         rng = random.Random(5)
-        pool = list(enumerate_labeled_connected(5))
-        for g in rng.sample(pool, 120):
+        for g in rng.sample(labeled.connected(5), 120):
             v = is_equilibrium(g)
-            devs = [(u, d) for u in range(g.n) for d in enumerate_deviations(g, u)]
+            devs = list(oracle.all_deviations(g.n, g.edges))
             rng.shuffle(devs)
             best = None
-            for _, d in devs:
-                delta = cost_delta(g, d)
+            for d in devs:
+                delta = oracle.deviation_delta(g.n, g.edges, *d)
+                delta = INF if delta is None else delta
                 if best is None or delta < best:
                     best = delta
             assert v.is_equilibrium == (best is None or best >= 0)
+            assert min(v.per_agent_min.values(), default=None) == best
 
     def test_small_graphs_vacuous(self):
         assert is_equilibrium(build_graph(1, [])).is_equilibrium
@@ -181,7 +191,9 @@ class TestDynamics:
     def test_states_differ_by_one_swap(self):
         trace = run_dynamics(path(6), 50)
         for before, move, after in zip(trace.states, trace.moves, trace.states[1:]):
-            move.validate(before)
+            assert before.has_edge(move.agent, move.drop)
+            assert move.add not in (move.agent, move.drop)
+            assert not before.has_edge(move.agent, move.add)
             assert before.replace_edge(move.agent, move.drop, move.add) == after
             assert before.m == after.m
 
@@ -195,7 +207,9 @@ class TestDynamics:
     def test_best_response_c6(self):
         moves = run_dynamics(cycle(6), 1).moves
         assert len(moves) == 1
-        assert cost_delta(cycle(6), moves[0]) == -1
+        u, v, vp = moves[0].agent, moves[0].drop, moves[0].add
+        assert oracle.deviation_delta(6, cycle(6).edges, u, v, vp) == -1
+        assert is_equilibrium(cycle(6)).per_agent_min[u] == -1
 
     @pytest.mark.parametrize("n", [4, 5, 6])
     def test_converges_on_paths_and_cycles(self, n):

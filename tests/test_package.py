@@ -231,7 +231,6 @@ def _reads(node):
 READ_OUTSIDE_PACKAGE = {
     ("survey.py", "canonical_graph"): "perfbench times it as survey.canonical_graph.s",
     ("survey.py", "verify_claims"): "perfbench replays each claim through it",
-    ("survey.py", "enumerate_labeled_connected"): "only the tests read it (ROADMAP item 3)",
 }
 
 
@@ -250,6 +249,30 @@ def test_no_dead_source_names():
         and read[node.name] == _reads(node)[node.name]
     }
     assert trees and dead == set(READ_OUTSIDE_PACKAGE)
+
+
+# methods and properties that no module of the package reads, and why they stay
+METHODS_READ_OUTSIDE_PACKAGE = {
+    ("theory.py", "SwapAggregate", "swap_costs"): "README documents it as a public view",
+    ("graph.py", "Graph", "has_edge"): "one of Graph's accessors; only the tests read it",
+}
+
+
+def test_no_dead_methods():
+    # every method and property of a package class, dunders aside, is read
+    # in some module of the package, its own body aside
+    trees = {path.name: ast.parse(path.read_text(), str(path))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    read = sum(map(_reads, trees.values()), Counter())
+    dead = {
+        (name, cls.name, fn.name)
+        for name, tree in trees.items()
+        for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+        for fn in cls.body
+        if isinstance(fn, ast.FunctionDef) and not re.fullmatch(r"__\w+__", fn.name)
+        and read[fn.name] == _reads(fn)[fn.name]
+    }
+    assert trees and dead == set(METHODS_READ_OUTSIDE_PACKAGE)
 
 
 def test_readme_quick_start_runs():

@@ -16,18 +16,18 @@ from swapeq.structure import (
     is_bipartite,
     pendant_world,
 )
-from swapeq.survey import enumerate_labeled_connected
 
+import labeled
 import oracle
 
 
 def connected_labeled(case):
     """Every connected labeled graph on n vertices, or 300 of those on 6."""
     if case == "n6-sample":
-        return random.Random(66).sample(list(enumerate_labeled_connected(6)), 300)
+        return random.Random(66).sample(labeled.connected(6), 300)
     if case < 3:
         return [build_graph(case, [(0, 1)][:case - 1])]
-    return list(enumerate_labeled_connected(case))
+    return list(labeled.connected(case))
 
 
 def c4_pendant():
@@ -103,19 +103,19 @@ class TestDecompose:
     def test_against_brute_oracle(self, n):
         # bridges and cuts against the brute-force oracle, the 2-edge-connected
         # components and the blocks against networkx
-        for g in enumerate_labeled_connected(n):
+        for g in labeled.connected(n):
             assert_decompose_matches_oracles(g)
 
     def test_against_brute_oracle_n6_sample(self):
         rng = random.Random(2024)
-        pool = list(enumerate_labeled_connected(6))
+        pool = labeled.connected(6)
         for g in rng.sample(pool, 400):
             assert_decompose_matches_oracles(g)
 
     @pytest.mark.parametrize("n", [4, 5])
     def test_bridge_iff_in_no_cycle(self, n):
         # a bridge is exactly an edge on no cycle: removing it must disconnect
-        for g in enumerate_labeled_connected(n):
+        for g in labeled.connected(n):
             bridges = set(decompose(g).bridges)
             for e in g.edges:
                 rest = [x for x in g.edges if x != e]
@@ -143,7 +143,7 @@ class TestPendantWorlds:
     def test_partition(self, n):
         # worlds of one component (tecc or block) partition the vertex set
         rng = random.Random(n)
-        pool = list(enumerate_labeled_connected(n))
+        pool = labeled.connected(n)
         for g in rng.sample(pool, min(150, len(pool))):
             dec = decompose(g)
             components = list(dec.tecc) + [block_vertices(b) for b in dec.bcc]
@@ -226,7 +226,7 @@ class TestClassify:
         assert not classify(path(4)).star
 
     def test_block_and_cactus_iff_triangle_cycles(self):
-        for g in enumerate_labeled_connected(5):
+        for g in labeled.connected(5):
             c = classify(g)
             if c.block_graph and c.cactus:
                 assert all(
@@ -235,7 +235,7 @@ class TestClassify:
 
     def test_implication_chain(self):
         # star => tree => block graph, over every small connected graph
-        for g in enumerate_labeled_connected(5):
+        for g in labeled.connected(5):
             c = classify(g)
             if c.star:
                 assert c.tree

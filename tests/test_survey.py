@@ -22,30 +22,25 @@ from swapeq.survey import (
     SurveyConfigError,
     canonical_form,
     canonical_graph,
-    enumerate_labeled_connected,
     run_survey,
     survey_report,
     verify_claims,
 )
 
+import labeled
 import oracle
 
 
 class TestEnumeration:
+    # the connected labeled graphs the tests read, off the survey's mask scan
     def test_counts(self):
-        assert sum(1 for _ in enumerate_labeled_connected(3)) == 4
-        assert sum(1 for _ in enumerate_labeled_connected(4)) == 38
-        assert sum(1 for _ in enumerate_labeled_connected(5)) == 728
-
-    def test_out_of_range(self):
-        with pytest.raises(SurveyConfigError):
-            list(enumerate_labeled_connected(2))
-        with pytest.raises(SurveyConfigError):
-            list(enumerate_labeled_connected(9))
+        assert len(labeled.connected(3)) == 4
+        assert len(labeled.connected(4)) == 38
+        assert len(labeled.connected(5)) == 728
 
     def test_each_exactly_once_and_connected(self):
         seen = set()
-        for g in enumerate_labeled_connected(4):
+        for g in labeled.connected(4):
             assert oracle.is_connected(g.n, g.edges)
             assert g.adj not in seen
             seen.add(g.adj)
@@ -57,7 +52,7 @@ class TestEnumeration:
         for edges in _all_edge_subsets(n):
             if oracle.is_connected(n, edges):
                 expected += 1
-        assert expected == sum(1 for _ in enumerate_labeled_connected(n))
+        assert expected == len(labeled.connected(n))
 
 
 def _all_edge_subsets(n):
@@ -105,7 +100,7 @@ class TestCanonicalForm:
 
     def test_soundness_n4(self):
         # equal form <=> brute-force permutation search finds an isomorphism
-        pool = list(enumerate_labeled_connected(4))
+        pool = labeled.connected(4)
         forms = {g.adj: canonical_form(g) for g in pool}
         for g1, g2 in itertools.combinations(pool, 2):
             iso = _isomorphic_brute(g1, g2)
@@ -115,7 +110,7 @@ class TestCanonicalForm:
         import random
 
         rng = random.Random(77)
-        pool = rng.sample(list(enumerate_labeled_connected(6)), 60)
+        pool = rng.sample(labeled.connected(6), 60)
         # bias toward same-edge-count pairs so isomorphic pairs do occur
         pool.sort(key=lambda g: g.m)
         for g1, g2 in zip(pool, pool[1:]):
@@ -416,10 +411,15 @@ class TestRunSurvey:
         ({"n": 4, "workers": "2"}, "workers must be an int, got str"),
         ({"n": 4, "workers": 2.5}, "workers must be an int, got float"),
         ({"graph6_lines": "C~"}, "graph6_lines must be a sequence of lines, got str"),
+        ({"graph6_lines": (1, 2)}, "graph6 lines must be str, got int"),
+        ({"graph6_lines": (b"Bw",)}, "graph6 lines must be str, got bytes"),
+        ({"graph6_lines": ("Bw", None)}, "graph6 lines must be str, got NoneType"),
+        ({"n": 5, "claims": "tree_star"}, "claims must be a sequence of claim names, got str"),
         ({"n": 8}, "n=8 with records would hold 251,548,592 records; "
                    "use the summary-only survey (keep_records=False)"),
     ], ids=["n9", "n2", "no-source", "two-sources", "unknown-claim", "duplicate-claim",
             "workers0", "workers-2", "workers-str", "workers-float", "graph6-str",
+            "graph6-int-lines", "graph6-bytes-line", "graph6-none-line", "claims-str",
             "n8-records"])
     def test_config_checked_when_made(self, kwargs, message):
         # the config is the one place a survey request is checked
@@ -547,6 +547,17 @@ class TestVerifyClaims:
             == [none, none]
         with pytest.raises(SurveyConfigError):
             verify_claims(graphs[0], EquilibriumVerdict(False, None, {}), ("nope",))
+
+    @pytest.mark.parametrize("claims, message", [
+        ("tree_star", "claims must be a sequence of claim names, got str"),
+        ("", "claims must be a sequence of claim names, got str"),
+        (("tree_star", "nope"), "unknown claim 'nope'"),
+    ], ids=["str", "empty-str", "unknown"])
+    def test_claims_checked(self, claims, message):
+        g = path(4)
+        with pytest.raises(SurveyConfigError) as err:
+            verify_claims(g, is_equilibrium(g), claims)
+        assert str(err.value) == message
 
 
 class TestDeterminism:
@@ -749,7 +760,7 @@ class TestClaimDetails:
                 for b in dec.bcc for x, y in b if x in cuts and y in cuts)
 
         single_fails = adjacent_fails = 0
-        for g in enumerate_labeled_connected(n):
+        for g in labeled.connected(n):
             # the lemma _adjacent_cut rests on: a block vertex has a
             # nontrivial world exactly when it is a cut vertex
             dec = decompose(g)
@@ -786,7 +797,7 @@ class TestClaimDetails:
         # whole domain; the digest pins every detail text for n = 3..6
         lines = []
         for n in range(3, 7):
-            for g in enumerate_labeled_connected(n):
+            for g in labeled.connected(n):
                 facts = _as_equilibrium(g)
                 g6 = encode_graph6(g)
                 for claim in CLAIM_NAMES:

@@ -13,7 +13,6 @@ from swapeq import kernels
 from swapeq.families import complete, complete_bipartite, cycle
 from swapeq.graph import build_graph, graph_from_adj
 from swapeq.structure import decompose
-from swapeq.survey import enumerate_labeled_connected
 from swapeq.theory import (
     ComponentError,
     NotBipartiteError,
@@ -24,6 +23,7 @@ from swapeq.theory import (
     strict_witness,
 )
 
+import labeled
 import oracle
 
 C4 = cycle(4)
@@ -210,7 +210,7 @@ class TestAggregate:
         # the bipartite families are checked in acceptance criterion 2; here
         # odd cycles, and triangles, where v' may already be adjacent to u
         rng = random.Random(30)
-        pool = [g for g in enumerate_labeled_connected(6) if not is_bip(g)]
+        pool = [g for g in labeled.connected(6) if not is_bip(g)]
         families = 0
         for g in rng.sample(pool, 300):
             for comp in cyclic_components(g):
@@ -249,7 +249,7 @@ class TestInequalities:
 
     def test_bound_holds_on_sample(self):
         rng = random.Random(12)
-        pool = [g for g in enumerate_labeled_connected(6)]
+        pool = labeled.connected(6)
         checked = 0
         for g in rng.sample(pool, 500):
             if not is_bip(g):
