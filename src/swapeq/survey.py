@@ -170,6 +170,21 @@ class SurveyConfigError(ValueError):
     pass
 
 
+def _check_claim_names(claims) -> None:
+    """SurveyConfigError unless claims is a sequence of distinct claim names;
+    the one check of a claim list, for SurveyConfig and verify_claims."""
+    if isinstance(claims, (str, bytes)) or not isinstance(claims, Sequence):
+        raise SurveyConfigError(
+            f"claims must be a sequence of claim names, got {type(claims).__name__}")
+    for k, c in enumerate(claims):
+        if not isinstance(c, str):
+            raise SurveyConfigError(f"claim names must be str, got {type(c).__name__}")
+        if c not in _CLAIMS:
+            raise SurveyConfigError(f"unknown claim {c!r}; known: {', '.join(CLAIM_NAMES)}")
+        if c in claims[:k]:
+            raise SurveyConfigError(f"duplicate claim {c!r}")
+
+
 @dataclass(frozen=True)
 class SurveyConfig:
     """Exactly one of n (built-in enumeration, 3..8) and graph6_lines is set.
@@ -184,14 +199,10 @@ class SurveyConfig:
     progress: bool = False
 
     def __post_init__(self):
-        if isinstance(self.claims, str):
-            raise SurveyConfigError("claims must be a sequence of claim names, got str")
-        for k, c in enumerate(self.claims):
-            if c not in _CLAIMS:
-                raise SurveyConfigError(
-                    f"unknown claim {c!r}; known: {', '.join(CLAIM_NAMES)}")
-            if c in self.claims[:k]:
-                raise SurveyConfigError(f"duplicate claim {c!r}")
+        _check_claim_names(self.claims)
+        for name in ("dedup", "keep_records", "progress"):
+            if not isinstance(value := getattr(self, name), bool):
+                raise SurveyConfigError(f"{name} must be a bool, got {type(value).__name__}")
         if not isinstance(self.workers, int) or isinstance(self.workers, bool):
             raise SurveyConfigError(
                 f"workers must be an int, got {type(self.workers).__name__}")
@@ -276,40 +287,35 @@ class CanonicalForm:
         return graph_from_adj(self.n, kernels.triangle_rows(self.n, self.bits))
 
 
-def _canonical_bits(adj) -> tuple[int, int, list]:
-    """(bits, aut, gens): the minimum over all vertex orders of the
-    column-major upper triangle of adjacency rows, the number of orders that
-    reach it, and permutations that generate the automorphism group.
+def _canonical_bits(adj) -> tuple[int, int, list, list]:
+    """(bits, aut, leaves, twins): the minimum over all vertex orders of the
+    column-major upper triangle of adjacency rows; the number of orders that
+    reach it; the orders the search visited that reach it, the first one
+    first; and each vertex's twins as a mask.  _generators builds Aut's
+    generators from the last two.
 
     Column k holds the adjacency of the k-th vertex placed to the vertices
     placed before it, the first of them as the high bit.  Columns have fixed
-    widths, so bit strings compare as their column lists do.  Three cuts
-    keep the minimum exact:
+    widths, so bit strings compare as their column lists do.  A node keeps
+    the unused vertices as ordered cells, one (column, vertex mask) pair per
+    distinct column, ascending by column; placing x splits each cell by x's
+    row into (c << 1, mask & ~row) and (c << 1 | 1, mask & row), which keeps
+    them ascending, so the least column is the first cell's (the cells of
+    McKay and Piperno, "Practical graph isomorphism, II", J. Symbolic
+    Computation 2014, without their equitable refinement, which would define
+    another minimum).  Three cuts keep the minimum exact:
 
-    - a node branches only on the unused vertices whose column is the
-      smallest there, because a larger column makes every completion larger;
+    - a node branches only on the first cell's vertices, because a larger
+      column makes every completion larger;
     - a node whose prefix already exceeds the best string's prefix is cut;
     - twins, x and y with N(x) - y == N(y) - x, are swapped by an
       automorphism that fixes every vertex placed so far, so a node branches
-      on only one unused member of each twin class.
+      on only one unused member of each twin class, the least.
 
     The orders that reach the minimum form one coset of the automorphism
     group, so aut is |Aut|.  None of them is cut, and a twin branch not
     taken reaches as many as the branch of its tried twin, so each branch
     counts once per unused member of its twin class.
-
-    gens act on the canonical labelling, where vertex i is the i-th vertex
-    of the first order that reached the minimum, so each one maps
-    triangle_rows(n, bits) onto itself.  They are:
-
-    - for each twin class, the transpositions of its least member with each
-      other member;
-    - for each other order that reaches the minimum, its quotient against
-      the first one.
-
-    Together they generate Aut: an order that reaches the minimum and is
-    not reached is a reached one with unused twins swapped at the nodes
-    where a twin branch was skipped, and each such swap is an automorphism.
     """
     n = len(adj)
     twins = [0] * n
@@ -323,34 +329,64 @@ def _canonical_bits(adj) -> tuple[int, int, list]:
     order = [0] * n  # order[i]: the i-th vertex placed on the current path
     leaves: list = []  # the orders that reached best, the first one first
 
-    def rec(k: int, free: int, prefix: int, rest: list, orders: int) -> None:
-        # rest: (column, x) for each unused x, the column its adjacency to
-        # the k vertices placed so far; free: the unused vertices as a mask;
-        # orders: the vertex orders this node stands for
+    def rec(k: int, free: int, prefix: int, cells: list, orders: int) -> None:
+        # cells: (column, mask) for the unused vertices, ascending by
+        # column, where a column is the adjacency to the k vertices placed so
+        # far; free: the unused vertices as a mask; orders: the vertex orders
+        # this node stands for
         nonlocal best, aut, leaves
-        if not rest:
+        if k == n:
             if best < 0 or prefix < best:
                 best, aut, leaves = prefix, orders, [order[:]]
             elif prefix == best:
                 aut += orders
                 leaves.append(order[:])
             return
-        low = min(rest)[0]
+        low, todo = cells[0]
         prefix = (prefix << k) | low
         if best >= 0 and prefix > best >> (width - k * (k + 1) // 2):
             return
         tried = 0
-        for c, x in rest:
-            if c != low or twins[x] & tried:
+        while todo:
+            bit = todo & -todo
+            todo ^= bit
+            x = bit.bit_length() - 1
+            if twins[x] & tried:
                 continue
-            tried |= 1 << x
+            tried |= bit
             row = adj[x]
             order[k] = x
-            rec(k + 1, free & ~(1 << x), prefix,
-                [(d << 1 | row >> y & 1, y) for d, y in rest if y != x],
+            off = ~(row | bit)  # x's non-neighbours other than x
+            split = []
+            for c, mask in cells:
+                if mask & off:
+                    split.append((c << 1, mask & off))
+                if mask & row:
+                    split.append((c << 1 | 1, mask & row))
+            rec(k + 1, free & ~bit, prefix, split,
                 orders * (1 + (twins[x] & free).bit_count()))
 
-    rec(0, (1 << n) - 1, 0, [(0, x) for x in range(n)], 1)
+    rec(0, (1 << n) - 1, 0, [(0, (1 << n) - 1)], 1)
+    return best, aut, leaves, twins
+
+
+def _generators(leaves: list, twins: list) -> list:
+    """Permutations that generate the automorphism group, from what the
+    canonical search of one graph returned.  They act on the canonical
+    labelling, where vertex i is the i-th vertex of the first order that
+    reached the minimum, so each one maps triangle_rows(n, bits) onto
+    itself.  They are:
+
+    - for each twin class, the transpositions of its least member with each
+      other member;
+    - for each other order that reaches the minimum, its quotient against
+      the first one.
+
+    Together they generate Aut: an order that reaches the minimum and is
+    not reached is a reached one with unused twins swapped at the nodes
+    where a twin branch was skipped, and each such swap is an automorphism.
+    """
+    n = len(twins)
     pos = [0] * n  # canonical label of each vertex
     for i, x in enumerate(leaves[0]):
         pos[x] = i
@@ -361,7 +397,7 @@ def _canonical_bits(adj) -> tuple[int, int, list]:
             swap = list(range(n))
             swap[pos[x]], swap[pos[y]] = pos[y], pos[x]
             gens.append(tuple(swap))
-    return best, aut, gens
+    return gens
 
 
 def canonical_form(g: Graph) -> CanonicalForm:
@@ -433,18 +469,19 @@ def _graph_classes(n: int, progress: bool = False) -> dict:
     automorphism; that they generate all of Aut(P) keeps the candidates
     few.  Canonical bits merge the repeats that remain (canonical
     augmentation; McKay, "Isomorph-free exhaustive generation",
-    J. Algorithms 1998).  Each level's generators are dropped once the
-    next level is built.  The survey's n <= 8 keeps the canonical search
-    within its cap.
+    J. Algorithms 1998).  A class's generators are built only when its
+    level is extended, so the last level builds none.  The survey's n <= 8
+    keeps the canonical search within its cap.
     """
-    level = {0: (1, [])}  # the one graph on a single vertex
+    # bits -> (aut, leaves, twins) of each class; the one graph on a single vertex
+    level = {0: (1, [[0]], [0])}
     for k in range(2, n + 1):
         new = 1 << (k - 1)
         found: dict = {}
-        for bits, (_, gens) in level.items():
+        for bits, (_, *search) in level.items():
             rows = kernels.triangle_rows(k - 1, bits)
             degs = [r.bit_count() for r in rows]
-            for nbrs in _orbit_minima(k - 1, gens):
+            for nbrs in _orbit_minima(k - 1, _generators(*search)):
                 d = nbrs.bit_count()
                 deg = [c + (nbrs >> v & 1) for v, c in enumerate(degs)] + [d]  # the child's
                 if min(deg) < d:
@@ -455,12 +492,12 @@ def _graph_classes(n: int, progress: bool = False) -> dict:
                 if any(deg[u] == d and _neighbour_degrees(adj[u], deg) > mine
                        for u in range(k - 1)):
                     continue
-                form, aut, child_gens = _canonical_bits(adj)
-                found.setdefault(form, (aut, child_gens))
+                form, aut, leaves, twins = _canonical_bits(adj)
+                found.setdefault(form, (aut, leaves, twins))
         level = found
         if progress:
             print(f"survey: level {k}/{n}, {len(level)} classes", file=sys.stderr)
-    return {bits: aut for bits, (aut, _) in level.items()}
+    return {bits: aut for bits, (aut, _, _) in level.items()}
 
 
 def _labeled_masks(adj) -> list[int]:
@@ -494,11 +531,9 @@ def _check(f: _Facts, claims, violations: list) -> dict:
 
 
 def verify_claims(g: Graph, verdict: EquilibriumVerdict, claims=CLAIM_NAMES) -> dict:
-    """Public per-graph claim evaluation; returns claim -> status string."""
-    if isinstance(claims, str):
-        raise SurveyConfigError("claims must be a sequence of claim names, got str")
-    if unknown := [c for c in claims if c not in _CLAIMS]:
-        raise SurveyConfigError(f"unknown claim {unknown[0]!r}")
+    """Public per-graph claim evaluation; returns claim -> status string.
+    SurveyConfigError for a claim list SurveyConfig would refuse."""
+    _check_claim_names(claims)
     facts = _Facts(g, kernels.is_connected(g.adj), verdict.is_equilibrium,
                    kernels.bipartite_side(g.adj) >= 0)
     return _check(facts, claims, [])

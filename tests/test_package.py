@@ -23,6 +23,29 @@ def test_no_assert_statements():
     assert sorted(PACKAGE.glob("*.py")) and found == []
 
 
+def _inexact(tree) -> list:
+    """Lines of tree's float literals, true divisions and float() calls."""
+    return [
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex))
+        or isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div)
+        or isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        and node.func.id == "float"
+    ]
+
+
+def test_arithmetic_exact():
+    # values are ints, Fraction and INF, never floats: the package has no
+    # float literal, no true division (/ or /=) and no float() call
+    assert all(_inexact(ast.parse(s)) for s in ("x = 1 / 2", "x /= 2", "x = 0.5", "float(x)"))
+    found = [
+        f"{path.name}:{line}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for line in _inexact(ast.parse(path.read_text(), str(path)))
+    ]
+    assert sorted(PACKAGE.glob("*.py")) and found == []
+
+
 # one frontier expansion: ``x |= rows[b.bit_length() - 1]``
 FRONTIER_STEP = re.compile(r"\w+ \|= [\w.]+\[\w+\.bit_length\(\) - 1\]")
 

@@ -257,6 +257,16 @@ class TestGraphClasses:
             for bits, aut in graph_classes[n].items():
                 _check_generators(kernels.triangle_rows(n, bits), aut)
 
+    def test_search_on_relabelled_classes_n_le_7(self, graph_classes):
+        # every class under a seeded random relabelling: the search finds the
+        # class's bits and |Aut|, and its generators generate all of Aut
+        rng = random.Random(41)
+        for n in range(1, 8):
+            for bits, aut in graph_classes[n].items():
+                g = _relabelled(CanonicalForm(n, bits).graph(), rng)
+                assert survey._canonical_bits(g.adj)[:2] == (bits, aut), (n, bits)
+                _check_generators(g.adj, aut)
+
     @pytest.mark.parametrize("name", sorted(_TWIN_HEAVY))
     def test_generators_twin_heavy(self, name):
         g = _TWIN_HEAVY[name]
@@ -274,10 +284,11 @@ class TestGraphClasses:
 
 
 def _check_generators(adj, aut):
-    """The generators the canonical search returns for adj are automorphisms
-    of its canonical graph, and the group they generate has order aut."""
+    """The generators built from adj's canonical search are automorphisms of
+    its canonical graph, and the group they generate has order aut."""
     n = len(adj)
-    bits, _, gens = survey._canonical_bits(adj)
+    bits, _, leaves, twins = survey._canonical_bits(adj)
+    gens = survey._generators(leaves, twins)
     rows = kernels.triangle_rows(n, bits)
     for perm in gens:
         image = [0] * n
@@ -415,12 +426,19 @@ class TestRunSurvey:
         ({"graph6_lines": (b"Bw",)}, "graph6 lines must be str, got bytes"),
         ({"graph6_lines": ("Bw", None)}, "graph6 lines must be str, got NoneType"),
         ({"n": 5, "claims": "tree_star"}, "claims must be a sequence of claim names, got str"),
+        ({"n": 5, "claims": None}, "claims must be a sequence of claim names, got NoneType"),
+        ({"n": 5, "claims": 5}, "claims must be a sequence of claim names, got int"),
+        ({"n": 5, "claims": [["tree_star"]]}, "claim names must be str, got list"),
+        ({"n": 5, "dedup": "yes"}, "dedup must be a bool, got str"),
+        ({"n": 5, "keep_records": None}, "keep_records must be a bool, got NoneType"),
+        ({"n": 5, "progress": "x"}, "progress must be a bool, got str"),
         ({"n": 8}, "n=8 with records would hold 251,548,592 records; "
                    "use the summary-only survey (keep_records=False)"),
     ], ids=["n9", "n2", "no-source", "two-sources", "unknown-claim", "duplicate-claim",
             "workers0", "workers-2", "workers-str", "workers-float", "graph6-str",
             "graph6-int-lines", "graph6-bytes-line", "graph6-none-line", "claims-str",
-            "n8-records"])
+            "claims-none", "claims-int", "claims-nested", "dedup-str", "keep-records-none",
+            "progress-str", "n8-records"])
     def test_config_checked_when_made(self, kwargs, message):
         # the config is the one place a survey request is checked
         with pytest.raises(SurveyConfigError) as err:
@@ -551,8 +569,13 @@ class TestVerifyClaims:
     @pytest.mark.parametrize("claims, message", [
         ("tree_star", "claims must be a sequence of claim names, got str"),
         ("", "claims must be a sequence of claim names, got str"),
-        (("tree_star", "nope"), "unknown claim 'nope'"),
-    ], ids=["str", "empty-str", "unknown"])
+        (("tree_star", "nope"), "unknown claim 'nope'; known: " + ", ".join(CLAIM_NAMES)),
+        (None, "claims must be a sequence of claim names, got NoneType"),
+        (5, "claims must be a sequence of claim names, got int"),
+        ([["tree_star"]], "claim names must be str, got list"),
+        (("tree_star", "tree_star"), "duplicate claim 'tree_star'"),
+        (b"tree_star", "claims must be a sequence of claim names, got bytes"),
+    ], ids=["str", "empty-str", "unknown", "none", "int", "nested", "duplicate", "bytes"])
     def test_claims_checked(self, claims, message):
         g = path(4)
         with pytest.raises(SurveyConfigError) as err:
